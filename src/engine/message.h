@@ -54,61 +54,29 @@ class Combiner {
   /// kMin promises Merge is exactly the corresponding fold below; the
   /// engine then bypasses the virtual call on the staging path.
   virtual CombinerKind kind() const { return CombinerKind::kCustom; }
-
-  /// Promise that Merge is a bitwise-associative fold over the value and
-  /// multiplicity streams this task actually emits, i.e. folding any
-  /// contiguous segmentation of an emission-order message sequence and then
-  /// folding the segment results in order yields bit-identical Messages to
-  /// one left-to-right fold. This is what lets the engine pre-combine inside
-  /// each compute shard (DESIGN.md §16): min-folds qualify (the result is
-  /// always an operand; ties keep the earlier message), and sums qualify only
-  /// when every partial sum is exact (integer-valued counts below 2^53).
-  /// General FP sums must return false — reassociation changes rounding and
-  /// would break the engine's bit-identity contract across shard counts.
-  virtual bool exact_fold() const { return false; }
 };
 
 /// Combiner that sums values (walk counts, rank mass).
-///
-/// `exact` asserts the task only ever sums values whose partial sums are
-/// exact in double precision (walk counts, hop counters) so the fold may be
-/// reassociated; leave it false for real-valued mass (PageRank rank).
 class SumCombiner : public Combiner {
  public:
-  SumCombiner() = default;
-  explicit SumCombiner(bool exact) : exact_(exact) {}
-
   void Merge(Message& into, const Message& from) const override {
     into.value += from.value;
     into.multiplicity += from.multiplicity;
   }
   CombinerKind kind() const override { return CombinerKind::kSum; }
-  bool exact_fold() const override { return exact_; }
-
- private:
-  bool exact_ = false;
 };
 
 /// Combiner that keeps the minimum value (shortest-path distances).
 /// The strict `<` keeps the earlier message on ties (including ±0.0), which
 /// makes the value fold associative (the result is always an operand; tasks
-/// must not send NaN). `exact` additionally asserts the *multiplicity*
-/// stream sums exactly (e.g. integer extrapolation factors), which the
-/// min-fold needs too because Merge adds multiplicities.
+/// must not send NaN).
 class MinCombiner : public Combiner {
  public:
-  MinCombiner() = default;
-  explicit MinCombiner(bool exact) : exact_(exact) {}
-
   void Merge(Message& into, const Message& from) const override {
     if (from.value < into.value) into.value = from.value;
     into.multiplicity += from.multiplicity;
   }
   CombinerKind kind() const override { return CombinerKind::kMin; }
-  bool exact_fold() const override { return exact_; }
-
- private:
-  bool exact_ = false;
 };
 
 }  // namespace vcmp

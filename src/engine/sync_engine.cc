@@ -30,17 +30,6 @@ constexpr uint32_t kDefaultShardsPerMachine = 16;
 /// while covering every benchmark task's per-machine share.
 constexpr size_t kDenseCombineMaxSlots = size_t{1} << 17;
 
-/// Largest slot space a shard sink will pre-combine into its staging
-/// arenas. Tighter than the merge bound: every (shard, destination)
-/// pair owns a table, so the budget multiplies by shards x machines^2.
-/// 2^15 slots x 8 bytes keeps each table L2-resident while covering
-/// point-to-point tasks like MSSP (~31K slots per machine); bigger slot
-/// spaces skip pre-combining entirely (a per-send probe into a table
-/// that large costs more than the fold it saves, and the merge still
-/// folds duplicates to the identical result because pre-combining is
-/// only enabled for exact-fold combiners).
-constexpr size_t kDensePrecombineMaxSlots = size_t{1} << 15;
-
 }  // namespace
 
 /// Contiguous item ranges assigning one machine's round to its compute
@@ -243,14 +232,6 @@ class SyncEngine::ShardSink : public MessageSink {
     bool aggregate_used = false;
   };
 
-  /// One pre-combine table entry: where in the destination arena this
-  /// (local vertex, tag) key currently lives, valid iff epoch matches
-  /// the sink's current round epoch.
-  struct DenseSlot {
-    uint32_t position;
-    uint32_t epoch;
-  };
-
   ShardSink() = default;
 
   /// (Re)binds the sink to an engine for one Run. The engine pointer is
@@ -259,7 +240,6 @@ class SyncEngine::ShardSink : public MessageSink {
   /// engine per batch.
   void Configure(const SyncEngine* engine, uint32_t machine,
                  uint32_t num_machines, uint64_t query,
-                 const Combiner* combiner, bool precombine,
                  uint32_t tag_universe, bool slot_targets) {
     engine_ = engine;
     machine_ = machine;
@@ -268,37 +248,16 @@ class SyncEngine::ShardSink : public MessageSink {
     machine_of_ = engine_->partition_.assignment.data();
     local_index_ = engine_->local_index_.data();
     mirror_broadcast_only_ = engine_->options_.profile.mirroring;
-    combiner_ = combiner;
-    combiner_kind_ = combiner ? combiner->kind() : CombinerKind::kCustom;
-    precombine_ = precombine;
     tag_universe_ = tag_universe;
     slot_targets_ = slot_targets;
     arenas_.resize(num_machines);
     cross_weights_.resize(num_machines);
-    dense_.resize(num_machines);
-    for (uint32_t dest = 0; dest < num_machines; ++dest) {
-      size_t slots =
-          (precombine_ && tag_universe > 0)
-              ? engine_->vertices_by_machine_[dest].size() * tag_universe
-              : 0;
-      if (slots == 0 || slots > kDensePrecombineMaxSlots) slots = 0;
-      if (dense_[dest].size() != slots) {
-        dense_[dest].assign(slots, DenseSlot{0, 0});
-      }
-    }
   }
 
   void BeginRound(uint64_t round) {
     round_ = round;
     for (MessageBlock& arena : arenas_) arena.Clear();
     for (std::vector<double>& weights : cross_weights_) weights.clear();
-    ++dense_epoch_;
-    if (dense_epoch_ == 0) {  // Wrapped: stale epochs could alias; rezero.
-      for (std::vector<DenseSlot>& table : dense_) {
-        std::fill(table.begin(), table.end(), DenseSlot{0, 0});
-      }
-      dense_epoch_ = 1;
-    }
     log_.clear();
     cur_ = nullptr;
   }
@@ -398,57 +357,19 @@ class SyncEngine::ShardSink : public MessageSink {
         cross_weights_[target_machine].push_back(multiplicity);
       }
     }
-    MessageBlock& arena = arenas_[target_machine];
-    VertexId stored_target = target;
-    std::vector<DenseSlot>& table = dense_[target_machine];
-    if (slot_targets_ || !table.empty()) {
-      const size_t key_slot =
-          static_cast<size_t>(local_index_[target]) * tag_universe_ + tag;
-      // Under the unified fold the arena's target column carries the
-      // destination slot index instead of the vertex id: the fold then
-      // addresses its combine table straight off the stream, with no
-      // dependent local_index_ lookup, and the emission scan restores
-      // real vertex ids from the destination's local vertex list.
-      if (slot_targets_) stored_target = static_cast<VertexId>(key_slot);
-      if (!table.empty()) {
-        // Shard-local dense combine table: fold same-(target, tag)
-        // messages in this shard's emission order before they hit the
-        // arena, via a direct (local vertex, tag) index — no hashing on
-        // the send path. The merge later folds the per-shard segment
-        // results in shard order; exact_fold makes that bit-identical to
-        // folding the raw stream (the per-vertex wire stats above are
-        // ignored under combining — the merge recounts distinct keys),
-        // which is also why destinations too big for a table can skip
-        // pre-combining outright.
-        DenseSlot& entry = table[key_slot];
-        if (entry.epoch == dense_epoch_) {
-          const size_t position = entry.position;
-          switch (combiner_kind_) {
-            case CombinerKind::kSum:
-              arena.values()[position] += value;
-              arena.multiplicities()[position] += multiplicity;
-              break;
-            case CombinerKind::kMin:
-              if (value < arena.values()[position]) {
-                arena.values()[position] = value;
-              }
-              arena.multiplicities()[position] += multiplicity;
-              break;
-            case CombinerKind::kCustom: {
-              Message into = arena.At(position);
-              combiner_->Merge(into,
-                               Message{target, tag, value, multiplicity});
-              arena.Set(position, into);
-              break;
-            }
-          }
-          return;
-        }
-        entry.epoch = dense_epoch_;
-        entry.position = static_cast<uint32_t>(arena.size());
-      }
-    }
-    arena.PushBack(stored_target, tag, value, multiplicity);
+    // Under the unified fold the arena's target column carries the
+    // destination slot index instead of the vertex id: the fold then
+    // addresses its combine table straight off the stream, with no
+    // dependent local_index_ lookup, and the emission scan restores real
+    // vertex ids from the destination's local vertex list.
+    const VertexId stored_target =
+        slot_targets_
+            ? static_cast<VertexId>(
+                  static_cast<size_t>(local_index_[target]) * tag_universe_ +
+                  tag)
+            : target;
+    arenas_[target_machine].PushBack(stored_target, tag, value,
+                                     multiplicity);
   }
 
   const SyncEngine* engine_ = nullptr;  // Rebound by Configure each Run.
@@ -457,21 +378,13 @@ class SyncEngine::ShardSink : public MessageSink {
   uint64_t query_ = 0;
   const uint32_t* machine_of_ = nullptr;
   bool mirror_broadcast_only_ = false;
-  const Combiner* combiner_ = nullptr;
-  CombinerKind combiner_kind_ = CombinerKind::kCustom;
-  bool precombine_ = false;
   bool slot_targets_ = false;
   uint32_t tag_universe_ = 0;
   const uint32_t* local_index_ = nullptr;
   uint64_t round_ = 0;
-  uint32_t dense_epoch_ = 0;
   Rng rng_{0};
   VertexLog* cur_ = nullptr;
   std::vector<MessageBlock> arenas_;          // One per destination.
-  /// Pre-combining only: per destination, one {arena position, epoch}
-  /// entry per (local vertex, tag) slot; empty when the destination's
-  /// slot space exceeds kDensePrecombineMaxSlots.
-  std::vector<std::vector<DenseSlot>> dense_;
   std::vector<std::vector<double>> cross_weights_;  // Mirror mode only.
   std::vector<VertexLog> log_;
   std::vector<uint8_t> mirror_seen_;
@@ -610,13 +523,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           ? program.combiner()
           : nullptr;
   const bool combining = combiner != nullptr;
-  // Shard-local pre-combining additionally requires a fold that may be
-  // reassociated bitwise (Combiner::exact_fold): per-shard tables fold
-  // contiguous emission segments, and the merge folds the segment
-  // results in shard order, so exactness makes the outbox bit-identical
-  // to merge-time-only combining at every shard and thread count.
-  const bool precombine =
-      combining && options_.shard_precombine && combiner->exact_fold();
   // A bounded tag universe (VertexProgram::combine_tag_universe) lets the
   // merge fold through direct-indexed tables instead of hash probing.
   // Gate on the largest destination's slot space; unbounded or oversized
@@ -672,8 +578,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       shard_sinks[task] = std::make_unique<ShardSink>();
     }
     shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
-                                 ctx.query_id, combiner, precombine,
-                                 tag_universe, unified_combine);
+                                 ctx.query_id, tag_universe,
+                                 unified_combine);
   }
 
   // The pool outlives the round loop. A context without a pool gets a

@@ -78,13 +78,6 @@ struct EngineOptions {
   /// routing already dedupes the wire) and when the program has no
   /// combiner.
   bool sender_combining = false;
-  /// When combining is active (profile-driven or sender_combining) and
-  /// the combiner's fold is exact (Combiner::exact_fold), additionally
-  /// pre-combine inside each compute shard through a per-(shard, dest)
-  /// combine table, shrinking staging arenas before the merge. Outputs
-  /// are bit-identical to merge-time-only combining at every shard and
-  /// thread count; this switch exists as an escape hatch / A-B knob.
-  bool shard_precombine = true;
   /// Group large inboxes with pool-wide lockstep passes (per-chunk
   /// histogram + prefix-sum scatter, fixed chunk count) instead of one
   /// serial sort per machine, making grouping parallelism

@@ -91,9 +91,7 @@ class BpprCountingProgram : public VertexProgram {
   const TaskContext context_;
   const uint64_t walks_per_vertex_;
   const BpprTask::Params params_;
-  // Walk counts: value and multiplicity streams are integers < 2^53, so
-  // the sum fold may be reassociated (shard pre-combining, DESIGN.md §16).
-  SumCombiner sum_combiner_{/*exact=*/true};
+  SumCombiner sum_combiner_;
   std::vector<uint64_t> stopped_;
 };
 

@@ -26,9 +26,6 @@ BpprSourceBatchProgram::BpprSourceBatchProgram(
   // extrapolation in generated-graph units.
   extrapolation_ =
       num_queries / samples / std::max(1.0, context.scale);
-  // Walk-count values sum exactly; multiplicities carry the extrapolation
-  // factor, so reassociation is exact only when that factor is integral.
-  sum_combiner_ = SumCombiner(std::rint(extrapolation_) == extrapolation_);
   sources_.reserve(samples);
   while (sources_.size() < samples) {
     auto candidate = static_cast<VertexId>(rng_.NextBounded(n));

@@ -40,8 +40,7 @@ class ConnectedComponentsProgram : public VertexProgram {
   void Offer(VertexId v, uint32_t label, MessageSink& sink);
 
   const TaskContext context_;
-  // Integer labels and unit multiplicities: the fold reassociates exactly.
-  MinCombiner min_combiner_{/*exact=*/true};
+  MinCombiner min_combiner_;
   std::vector<uint32_t> labels_;
 };
 

@@ -1,7 +1,6 @@
 #include "tasks/mssp.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -19,9 +18,6 @@ MsspProgram::MsspProgram(const TaskContext& context, ProgramFlavor flavor,
       std::min<double>(params.max_sampled_sources, workload));
   VCMP_CHECK(samples > 0);
   extrapolation_ = workload / samples;
-  // Path lengths min-fold exactly; multiplicities are k * extrapolation_,
-  // whose partial sums are exact only when the factor is integral.
-  min_combiner_ = MinCombiner(std::rint(extrapolation_) == extrapolation_);
   // Deterministic distinct sources.
   Rng rng(seed);
   std::vector<bool> used(num_vertices_, false);

@@ -1,13 +1,15 @@
 // Tests of sender-side combining (DESIGN.md §16): the Sum/Min combiner
 // fold semantics the unified combine path relies on, the contract that
-// enabling combining changes wire traffic but never task results, and
-// the equivalence of serial GroupInbox against the pool-wide parallel
-// grouping passes for every grouping strategy.
+// enabling combining changes wire traffic but never task results (at
+// every shard and thread count, on both sides of the dense-slot gate),
+// and the equivalence of serial GroupInbox against the pool-wide
+// parallel grouping passes for every grouping strategy.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,12 +43,6 @@ TEST(SumCombinerTest, MergeAddsValueAndMultiplicity) {
   EXPECT_EQ(combiner.kind(), CombinerKind::kSum);
 }
 
-TEST(SumCombinerTest, ExactFoldOnlyWhenPromised) {
-  EXPECT_FALSE(SumCombiner().exact_fold());
-  EXPECT_FALSE(SumCombiner(false).exact_fold());
-  EXPECT_TRUE(SumCombiner(true).exact_fold());
-}
-
 TEST(SumCombinerTest, FoldOrderPinsFloatingPointResult) {
   // The engine's determinism contract is that a combined run folds in
   // exactly the left-to-right order a receiver-side fold over the stable
@@ -69,33 +65,6 @@ TEST(SumCombinerTest, FoldOrderPinsFloatingPointResult) {
   combiner.Merge(seeded, Message{0, 0, c, 1.0});
   EXPECT_EQ(seeded.value, into.value);
   EXPECT_EQ(seeded.multiplicity, into.multiplicity);
-}
-
-TEST(SumCombinerTest, ExactIntegerFoldIsSegmentationInvariant) {
-  // exact_fold()'s promise: folding any contiguous segmentation, then the
-  // segment results in order, is bit-identical to one left-to-right fold.
-  // This is what lets each compute shard pre-combine independently.
-  const std::vector<double> counts = {3, 17, 1, 64, 2, 9, 5, 40};
-  SumCombiner combiner(/*exact=*/true);
-  ASSERT_TRUE(combiner.exact_fold());
-
-  Message flat{0, 0, counts[0], 1.0};
-  for (size_t i = 1; i < counts.size(); ++i) {
-    combiner.Merge(flat, Message{0, 0, counts[i], 1.0});
-  }
-  for (size_t split = 1; split < counts.size(); ++split) {
-    Message left{0, 0, counts[0], 1.0};
-    for (size_t i = 1; i < split; ++i) {
-      combiner.Merge(left, Message{0, 0, counts[i], 1.0});
-    }
-    Message right{0, 0, counts[split], 1.0};
-    for (size_t i = split + 1; i < counts.size(); ++i) {
-      combiner.Merge(right, Message{0, 0, counts[i], 1.0});
-    }
-    combiner.Merge(left, right);
-    EXPECT_EQ(left.value, flat.value) << "split at " << split;
-    EXPECT_EQ(left.multiplicity, flat.multiplicity);
-  }
 }
 
 TEST(MinCombinerTest, KeepsMinimumAndSumsMultiplicity) {
@@ -130,11 +99,6 @@ TEST(MinCombinerTest, StrictLessKeepsEarlierMessageOnTies) {
   EXPECT_EQ(seeded.multiplicity, 2.0);
 }
 
-TEST(MinCombinerTest, ExactFoldOnlyWhenPromised) {
-  EXPECT_FALSE(MinCombiner().exact_fold());
-  EXPECT_TRUE(MinCombiner(true).exact_fold());
-}
-
 // --- Engine-level combining on/off -----------------------------------
 
 /// Full bit-identity including wire traffic — for runs that must be
@@ -159,7 +123,7 @@ void ExpectRunsBitIdentical(const EngineResult& a, const EngineResult& b) {
 struct CombineRunOptions {
   bool combining = false;
   uint32_t threads = 1;
-  bool shard_precombine = true;
+  uint32_t shards = 0;  // 0 = the engine default.
   bool parallel_grouping = true;
 };
 
@@ -170,7 +134,7 @@ EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
   options.execution_threads = opts.threads;
   options.clamp_threads_to_hardware = false;
   options.sender_combining = opts.combining;
-  options.shard_precombine = opts.shard_precombine;
+  options.compute_shards_per_machine = opts.shards;
   options.parallel_grouping = opts.parallel_grouping;
   return options;
 }
@@ -250,22 +214,40 @@ TEST(SenderCombiningTest, MsspCombinedRunBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(SenderCombiningTest,
-     MsspInvariantToShardPrecombineAndParallelGrouping) {
-  // shard_precombine moves folding earlier (into the compute shards) and
-  // parallel_grouping moves grouping across threads; both are pure
-  // performance toggles — every statistic must be bit-identical.
-  auto [base, base_dist] = RunMssp({.combining = true, .threads = 8});
-  for (bool precombine : {false, true}) {
-    for (bool par_group : {false, true}) {
-      auto [run, dist] = RunMssp({.combining = true,
-                                  .threads = 8,
-                                  .shard_precombine = precombine,
-                                  .parallel_grouping = par_group});
-      ExpectRunsBitIdentical(base, run);
-      EXPECT_EQ(base_dist, dist);
+/// Runs `run` (returning {EngineResult, task output}) with combining on
+/// across shard counts, thread counts and the parallel_grouping toggle,
+/// and requires every run to match the single-shard serial one bit for
+/// bit. Shards cut each machine's emission stream into per-shard arenas
+/// that the combine fold concatenates in shard order, so the shard count
+/// must never reach a folded value or a wire count.
+template <typename RunFn>
+void ExpectCombinedRunsInvariantToShardsAndThreads(RunFn run) {
+  auto [base, base_output] =
+      run(CombineRunOptions{.combining = true, .threads = 1, .shards = 1});
+  for (uint32_t shards : {1u, 3u, 16u, 64u}) {
+    for (uint32_t threads : {1u, 8u}) {
+      for (bool par_group : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "shards=" << shards << " threads=" << threads
+                     << " parallel_grouping=" << par_group);
+        auto [other, output] = run(CombineRunOptions{
+            .combining = true,
+            .threads = threads,
+            .shards = shards,
+            .parallel_grouping = par_group});
+        ExpectRunsBitIdentical(base, other);
+        EXPECT_EQ(base_output, output);
+      }
     }
   }
+}
+
+TEST(SenderCombiningTest, MsspCombinedRunInvariantToShardCount) {
+  ExpectCombinedRunsInvariantToShardsAndThreads(RunMssp);
+}
+
+TEST(SenderCombiningTest, BpprCountingCombinedRunInvariantToShardCount) {
+  ExpectCombinedRunsInvariantToShardsAndThreads(RunBpprCounting);
 }
 
 TEST(SenderCombiningTest, StochasticWalkCountsSurviveCombining) {
@@ -277,6 +259,102 @@ TEST(SenderCombiningTest, StochasticWalkCountsSurviveCombining) {
     EXPECT_EQ(on_stopped, off_stopped);
     EXPECT_EQ(on.num_rounds, off.num_rounds);
     EXPECT_EQ(on.total_logical_sent, off.total_logical_sent);
+    EXPECT_GT(on.CombinedRatio(), 1.0);
+  }
+}
+
+// --- The dense-slot gate ---------------------------------------------
+
+/// Multi-source hop flood: tag t floods from source vertex t for up to
+/// kMaxHops hops, min-combining hop counts. combine_tag_universe() is
+/// exactly the tag count, so the caller controls the largest
+/// destination's (local vertices x tags) slot space.
+class HopFloodProgram : public VertexProgram {
+ public:
+  HopFloodProgram(const Graph& graph, uint32_t tags)
+      : graph_(graph),
+        tags_(tags),
+        hops_(static_cast<size_t>(tags) * graph.NumVertices(),
+              testing_util::kUnreachedHops) {}
+
+  void Compute(VertexId v, std::span<const Message> inbox,
+               MessageSink& sink) override {
+    if (sink.round() == 0) {
+      if (v < tags_) Reach(v, /*tag=*/v, /*hop=*/0, sink);
+      return;
+    }
+    // The inbox is grouped by (target, tag): fold each tag's minimum.
+    for (size_t i = 0; i < inbox.size();) {
+      const uint32_t tag = inbox[i].tag;
+      double best = inbox[i].value;
+      for (++i; i < inbox.size() && inbox[i].tag == tag; ++i) {
+        best = std::min(best, inbox[i].value);
+      }
+      Reach(v, tag, static_cast<uint32_t>(best), sink);
+    }
+  }
+
+  const Combiner* combiner() const override { return &combiner_; }
+  uint32_t combine_tag_universe() const override { return tags_; }
+  const std::vector<uint32_t>& hops() const { return hops_; }
+
+ private:
+  static constexpr uint32_t kMaxHops = 3;
+
+  void Reach(VertexId v, uint32_t tag, uint32_t hop, MessageSink& sink) {
+    uint32_t& known =
+        hops_[static_cast<size_t>(tag) * graph_.NumVertices() + v];
+    if (hop >= known) return;
+    known = hop;
+    if (hop < kMaxHops) sink.Broadcast(v, tag, hop + 1.0, 1.0);
+  }
+
+  const Graph& graph_;
+  const uint32_t tags_;
+  MinCombiner combiner_;
+  std::vector<uint32_t> hops_;  // tag-major, one entry per (tag, vertex).
+};
+
+TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
+  // Machine 0 owns exactly 4096 vertices and machine 1 fewer, so 32 tags
+  // put the largest destination at exactly 2^17 slots (the most the
+  // dense fold accepts: this run takes the unified fold) and 33 tags one
+  // tag past it (the CombineIndex merge path). Both paths must reproduce
+  // the uncombined run's results and logical traffic.
+  constexpr VertexId kLargestMachine = 4096;
+  ErdosRenyiParams params;
+  params.num_vertices = 7000;
+  params.num_edges = 21000;
+  params.seed = 19;
+  const Graph graph = GenerateErdosRenyi(params);
+  Partitioning part;
+  part.num_machines = 2;
+  part.assignment.resize(graph.NumVertices());
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    part.assignment[v] = v < kLargestMachine ? 0 : 1;
+  }
+  for (uint32_t tags : {32u, 33u}) {
+    SCOPED_TRACE(testing::Message() << "tags=" << tags);
+    auto run = [&](bool combining) {
+      SyncEngine engine(graph, part,
+                        MakeOptions({.combining = combining, .threads = 2},
+                                    part.num_machines));
+      HopFloodProgram program(graph, tags);
+      auto result = engine.Run(program);
+      EXPECT_TRUE(result.ok());
+      return std::pair(result.value_or(EngineResult{}), program.hops());
+    };
+    auto [off, off_hops] = run(false);
+    auto [on, on_hops] = run(true);
+    EXPECT_EQ(off_hops, on_hops);
+    EXPECT_EQ(off.num_rounds, on.num_rounds);
+    EXPECT_EQ(off.total_messages, on.total_messages);
+    EXPECT_EQ(off.total_logical_sent, on.total_logical_sent);
+    ASSERT_EQ(off.rounds.size(), on.rounds.size());
+    for (size_t i = 0; i < off.rounds.size(); ++i) {
+      EXPECT_EQ(off.rounds[i].messages, on.rounds[i].messages)
+          << "round " << i;
+    }
     EXPECT_GT(on.CombinedRatio(), 1.0);
   }
 }
