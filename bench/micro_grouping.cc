@@ -1,8 +1,7 @@
 // google-benchmark microbenchmarks of inbox grouping: each of the four
 // GroupInbox strategies in isolation (sorted fast path, small
-// comparison sort, dense counting, radix pair-sort) and the pool-wide
-// ParallelGroupInboxes pass driver across thread counts. These isolate
-// the group phase the engine benches (perf_engine) only report in
+// comparison sort, dense counting, radix pair-sort). These isolate the
+// group phase the engine benches (perf_engine) only report in
 // aggregate, so a grouping regression is attributable without rerunning
 // a full workload.
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "engine/worker.h"
 
 namespace vcmp {
@@ -31,8 +29,8 @@ std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
   return inbox;
 }
 
-/// Pre-sorted distinct keys: the shape the unified combine path emits,
-/// which GroupInbox must recognise and run-build without sorting.
+/// Pre-sorted distinct keys, which GroupInbox must recognise and
+/// run-build without sorting.
 std::vector<Message> SortedInbox(size_t size, uint32_t num_tags) {
   std::vector<Message> inbox;
   inbox.reserve(size);
@@ -96,31 +94,6 @@ void BM_GroupRadix(benchmark::State& state) {
                     /*vertex_space=*/0);
 }
 BENCHMARK(BM_GroupRadix)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_GroupParallel(benchmark::State& state) {
-  // The engine's per-round call: one worker per machine, grouped in
-  // pool-wide lockstep passes. range(0) = pool workers (0 = inline).
-  constexpr uint32_t kMachines = 8;
-  constexpr size_t kPerMachine = 1 << 16;
-  std::vector<std::vector<Message>> inboxes;
-  for (uint32_t m = 0; m < kMachines; ++m) {
-    inboxes.push_back(RandomInbox(kPerMachine, 1 << 18, 16, 17 + m));
-  }
-  ThreadPool pool(static_cast<uint32_t>(state.range(0)));
-  std::vector<Worker> workers(kMachines);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (uint32_t m = 0; m < kMachines; ++m) {
-      FillWorker(workers[m], inboxes[m], 0);
-    }
-    state.ResumeTiming();
-    ParallelGroupInboxes(pool, std::span<Worker>(workers),
-                         /*steal=*/true, /*collect_timing=*/false);
-    benchmark::DoNotOptimize(workers[0].runs().size());
-  }
-  state.SetItemsProcessed(state.iterations() * kMachines * kPerMachine);
-}
-BENCHMARK(BM_GroupParallel)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace vcmp

@@ -24,11 +24,12 @@ namespace {
 constexpr uint32_t kDefaultShardsPerMachine = 16;
 
 /// Largest (local vertices x tag universe) slot space a destination may
-/// have before the merge's dense combine tables fall back to hash
-/// probing. 2^17 slots keep one table's hot arrays (position + epoch,
-/// 8 bytes/slot) around a megabyte — L2-resident on anything current —
-/// while covering every benchmark task's per-machine share.
-constexpr size_t kDenseCombineMaxSlots = size_t{1} << 17;
+/// have for the direct-indexed passes (grouped delivery and the dense
+/// merge tables); larger spaces fall back to hash probing and grouping at
+/// the receiver. 2^17 slots keep one destination's hot per-slot array
+/// around a megabyte or less — L2-resident on anything current — while
+/// covering every benchmark task's per-machine share.
+constexpr size_t kMaxDenseSlots = size_t{1} << 17;
 
 }  // namespace
 
@@ -155,44 +156,49 @@ struct SyncEngine::DenseCombineTable {
   }
 };
 
-/// Accumulator for the unified per-destination fold (engine-level sender
-/// combining without mirroring or real OOC): one table per destination
-/// machine folds EVERY sender's shard arenas — senders in machine order,
-/// each sender's arenas in shard order — which is precisely the FP
-/// operation sequence the receiver's per-run fold would perform on the
-/// raw grouped inbox (grouping is stable, sender-major). The fold result,
-/// emitted in ascending (target, tag) slot order, therefore IS the next
-/// round's inbox: already combined, already sorted, no per-pair outboxes
-/// to stage, deliver, or re-group. `last_sender` reproduces the per-pair
-/// wire counts (a sender contributes one wire unit per distinct key it
-/// touches) without materializing per-sender outboxes.
-struct SyncEngine::UnifiedCombineTable {
-  /// One slot per (local vertex, tag) key, packed so a fold touches one
-  /// cache line, not one per column.
-  struct Slot {
+/// Per-destination slot table for grouped delivery (in-memory runs
+/// without mirroring whose slot space fits kMaxDenseSlots): one task per
+/// destination reads EVERY sender's shard arenas — senders in machine
+/// order, each sender's arenas in shard order, i.e. the arrival order of
+/// the sender-major inbox the per-pair path would deliver — and writes the
+/// next round's inbox already grouped. With combining it folds each key
+/// into one element (`fold`); without, it counting-sorts the raw messages
+/// by key (`counts`). Either result, emitted in ascending slot order —
+/// ascending (target, tag) — IS the stable grouping of that inbox, so
+/// merge, delivery and next round's GroupInbox collapse into this pass.
+struct SyncEngine::DestSlotTable {
+  /// Combining fold accumulator, packed so a fold touches one cache line,
+  /// not one per column. `last_sender` reproduces the per-pair wire
+  /// counts (a sender contributes one wire unit per distinct key it
+  /// touches) without materializing per-sender outboxes.
+  struct FoldSlot {
     double value;
     double mult;
     uint32_t last_sender;
     uint32_t epoch;  // valid iff == cur_epoch
   };
   static constexpr size_t kBlockShift = 6;  // 64 slots per block.
-  std::vector<Slot> slots;
+  std::vector<FoldSlot> fold;  // Combining runs only.
+  /// Counting runs only: messages per slot, then each live slot's scatter
+  /// cursor. All zero between builds (each build re-zeroes the blocks it
+  /// touched), so a build needs no clear.
+  std::vector<uint32_t> counts;
   /// Per-64-slot-block epoch marks: the emission scan skips whole blocks
-  /// no fold entry touched, which is most of them for sparse rounds.
+  /// no message touched, which is most of them for sparse rounds.
   std::vector<uint32_t> block_epoch;
   uint32_t cur_epoch = 0;
 
-  void EnsureSlots(size_t count) {
-    if (slots.size() < count) {
-      slots.resize(count, Slot{0.0, 0.0, 0, 0});
-      block_epoch.resize((count >> kBlockShift) + 1, 0);
+  /// Sizes the table for `slots` keys and starts a fresh build.
+  void Begin(size_t slots, bool combining) {
+    if (combining && fold.size() < slots) {
+      fold.resize(slots, FoldSlot{0.0, 0.0, 0, 0});
     }
-  }
-  /// Starts a fresh fold; entries only live for one fold episode.
-  void BeginFold() {
+    if (!combining && counts.size() < slots) counts.resize(slots, 0);
+    const size_t blocks = (slots >> kBlockShift) + 1;
+    if (block_epoch.size() < blocks) block_epoch.resize(blocks, 0);
     ++cur_epoch;
     if (cur_epoch == 0) {  // Wrapped: stale epochs could alias; rezero.
-      for (Slot& slot : slots) slot.epoch = 0;
+      for (FoldSlot& slot : fold) slot.epoch = 0;
       std::fill(block_epoch.begin(), block_epoch.end(), 0u);
       cur_epoch = 1;
     }
@@ -357,9 +363,9 @@ class SyncEngine::ShardSink : public MessageSink {
         cross_weights_[target_machine].push_back(multiplicity);
       }
     }
-    // Under the unified fold the arena's target column carries the
-    // destination slot index instead of the vertex id: the fold then
-    // addresses its combine table straight off the stream, with no
+    // Under grouped delivery the arena's target column carries the
+    // destination slot index instead of the vertex id: fold_dest then
+    // addresses its slot table straight off the stream, with no
     // dependent local_index_ lookup, and the emission scan restores real
     // vertex ids from the destination's local vertex list.
     const VertexId stored_target =
@@ -400,11 +406,11 @@ struct SyncEngine::RunScratch : QueryContext::Scratch {
   std::vector<std::unique_ptr<ShardSink>> shard_sinks;
   /// machines x machines dense merge tables (sender-major), sized lazily
   /// to the destination's (local vertices x tag universe) slot space.
-  /// Empty when the program's tag universe is unbounded or too large.
+  /// Only combining runs outside grouped delivery use them.
   std::vector<DenseCombineTable> dense_combine;
-  /// One accumulator per destination for the unified fold path. Empty
-  /// when that path is inactive.
-  std::vector<UnifiedCombineTable> unified_combine;
+  /// One slot table per destination for grouped delivery. Empty when
+  /// that path is inactive.
+  std::vector<DestSlotTable> dest_slots;
 };
 
 SyncEngine::~SyncEngine() = default;  // ShardSink is complete here.
@@ -523,14 +529,15 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           ? program.combiner()
           : nullptr;
   const bool combining = combiner != nullptr;
-  // A bounded tag universe (VertexProgram::combine_tag_universe) lets the
-  // merge fold through direct-indexed tables instead of hash probing.
-  // Gate on the largest destination's slot space; unbounded or oversized
-  // universes keep the CombineIndex path.
-  const uint32_t tag_universe =
-      combining ? program.combine_tag_universe() : 0;
+  // A bounded tag universe (VertexProgram::tag_universe) numbers every
+  // (target, tag) key a destination can receive with the dense slot
+  // local_index(target) * tags + tag. One gate on the largest
+  // destination's slot space admits the direct-indexed passes below;
+  // unbounded or oversized universes keep hash probing and grouping at
+  // the receiver.
+  const uint32_t tag_universe = program.tag_universe();
   std::vector<size_t> dense_slots(machines, 0);
-  bool dense_combine = false;
+  bool slots_fit = false;
   if (tag_universe > 0) {
     size_t max_slots = 0;
     for (uint32_t machine = 0; machine < machines; ++machine) {
@@ -538,24 +545,31 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
                              static_cast<size_t>(tag_universe);
       max_slots = std::max(max_slots, dense_slots[machine]);
     }
-    dense_combine = max_slots > 0 && max_slots <= kDenseCombineMaxSlots;
+    slots_fit = max_slots > 0 && max_slots <= kMaxDenseSlots;
   }
-  // Engine-level sender combining (no mirroring, no real OOC, bounded tag
-  // universe) takes the unified per-destination fold: merge, delivery and
-  // grouping collapse into one pass that writes each destination's next
-  // inbox directly — combined, sorted, one element per (target, tag) key.
-  // Profile-level combining (GraphLab et al.) and OOC runs keep the
-  // per-(sender, dest) merge + delivery path, whose byte-for-byte outbox
-  // behaviour existing goldens and the spill machinery depend on.
-  const bool unified_combine = dense_combine &&
-                               !options_.profile.combines_messages &&
-                               rt == nullptr &&
-                               combiner->kind() != CombinerKind::kCustom;
+  // Grouped delivery: in-memory runs inside the gate build each
+  // destination's next inbox in one per-destination pass straight from
+  // the senders' shard arenas (fold_dest below) — folded to one element
+  // per key under engine-level combining, counting-sorted otherwise — so
+  // merge, delivery and next round's GroupInbox collapse into that pass.
+  // The rest group at the receiver: real OOC runs (the resident cap cuts
+  // the sender-major concatenation), mirror profiles (broadcast hops
+  // carry vertex ids and cross weights), profile-level combining
+  // (GraphLab et al., whose per-pair outbox bytes the goldens pin) and
+  // custom combiners (whose Merge may read the target).
+  const bool grouped_delivery =
+      slots_fit && rt == nullptr && !options_.profile.mirroring &&
+      (!combining || (!options_.profile.combines_messages &&
+                      combiner->kind() != CombinerKind::kCustom));
+  // Under grouped delivery with combining the inbox arrives pre-folded:
+  // one element per key instead of one per wire unit.
+  const bool prefolded = grouped_delivery && combining;
+  // Combining outside grouped delivery still direct-indexes the
+  // per-(sender, dest) merge fold when the slot space fits.
+  const bool dense_combine = combining && slots_fit && !grouped_delivery;
   scratch.dense_combine.resize(
-      (dense_combine && !unified_combine)
-          ? static_cast<size_t>(machines) * machines
-          : 0);
-  scratch.unified_combine.resize(unified_combine ? machines : 0);
+      dense_combine ? static_cast<size_t>(machines) * machines : 0);
+  scratch.dest_slots.resize(grouped_delivery ? machines : 0);
   for (Worker& worker : workers) {
     worker.Reset(machines);
     worker.set_collect_timing(collect_times);
@@ -579,7 +593,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
     shard_sinks[task]->Configure(this, task / shards_per_machine, machines,
                                  ctx.query_id, tag_universe,
-                                 unified_combine);
+                                 grouped_delivery);
   }
 
   // The pool outlives the round loop. A context without a pool gets a
@@ -612,11 +626,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   EngineResult result;
   const double scale = options_.stat_scale;
   const double cutoff = options_.cost.overload_cutoff_seconds;
-  // Wall time spent inside ParallelGroupInboxes across all rounds; folded
-  // into phase.group_seconds at the end (per-worker group_ns_ stays zero
-  // on the lockstep path, so there is no double count).
-  uint64_t parallel_group_ns = 0;
-
   // Round-loop scratch, reused every round.
   std::vector<ShardPlan> plans(machines);
   std::vector<MergeSlot> merge_slots(
@@ -633,11 +642,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   std::vector<size_t> deliver_offsets(static_cast<size_t>(machines) *
                                       machines);
   std::vector<uint8_t> deliver_copy(machines, 0);
-  // Unified fold only: wire units folded into each machine's inbox last
-  // round (the per-pair path would have delivered this many outbox
+  // Pre-folded inboxes only: wire units folded into each machine's inbox
+  // last round (the per-pair path would have delivered this many outbox
   // elements). Read by the NEXT round's receive fold, since the
   // pre-folded inbox no longer carries one element per wire unit.
-  std::vector<double> unified_wire_in(machines, 0.0);
+  std::vector<double> folded_wire_in(machines, 0.0);
   // Real OOC seeding superstep: per-machine degree columns streamed from
   // the vertex-state files (shard planning without touching the CSR).
   std::vector<std::vector<uint32_t>> ooc_degrees(rt != nullptr ? machines
@@ -673,41 +682,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     const uint64_t compute_start_ns = wallclock::NowNs();
 
     // --- Phase A: per-machine prep (group, receive fold, shard plan) ---
-    // The inbox receive fold is serial per machine — the same FP add
+    // Serial per machine — the receive fold performs the same FP add
     // order at every thread and shard count — and machines are
-    // independent. Grouping itself runs either serially per machine (the
-    // historical path) or as pool-wide lockstep passes
-    // (ParallelGroupInboxes) with bit-identical grouped output.
-    auto prep_rest = [&](uint32_t machine) {
-      Worker& worker = workers[machine];
-      MachineRoundLoad& load = loads[machine];
-      const double* mults = worker.grouped_multiplicities();
-      const size_t inbox_size = worker.inbox().size();
-      for (size_t i = 0; i < inbox_size; ++i) {
-        load.recv_messages += mults[i];
-        if (!unified_combine) {
-          // Wire units: what was actually serialized/deserialized.
-          load.processed_messages += combining ? 1.0 : mults[i];
-        }
-      }
-      if (unified_combine) {
-        // Pre-folded inbox: one element per key, so wire units come from
-        // the fold that built it (integer counts — bit-identical to what
-        // a walk over per-pair outbox elements would sum).
-        load.processed_messages += unified_wire_in[machine];
-      }
-      if (!use_runs) {
-        // Built once here, read concurrently by this machine's shards.
-        worker.MaterializedInbox();
-      }
-      if (rt != nullptr) {
-        // Page in the vertex-state sections behind this round's targets
-        // (ascending section order; prefetched buffers are consumed at
-        // exactly the point a synchronous load would install them).
-        rt->TouchSections(machine, worker.runs());
-      }
-      plans[machine].BuildForRuns(worker.runs(), shards_per_machine);
-    };
+    // independent, so the per-machine fan-out is the only parallelism.
     auto prep_machine = [&](uint32_t machine) {
       Worker& worker = workers[machine];
       ShardPlan& plan = plans[machine];
@@ -733,33 +710,42 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         // uncapped run's.
         rt->RestoreInbox(machine, &worker.inbox());
       }
-      if (unified_combine) {
-        // Last round's fold wrote the inbox pre-grouped and built the
-        // singleton runs alongside; publishing them replaces grouping.
+      if (grouped_delivery) {
+        // Last round's fold_dest wrote the inbox payload grouped and built
+        // the runs alongside; publishing them replaces grouping.
         worker.PublishPregroupedRuns();
       } else {
         worker.GroupInbox();
       }
-      prep_rest(machine);
-    };
-    // With zero pool workers every "parallel" section runs inline on the
-    // caller, so the chunked radix passes would only add pass-switching
-    // overhead over the serial groupers; outputs are bit-identical either
-    // way, so the single-thread case keeps the serial path.
-    if (round > 0 && !unified_combine && options_.parallel_grouping &&
-        pool.num_workers() > 0) {
-      if (rt != nullptr) {
-        pool.ParallelFor(machines, [&](uint32_t machine) {
-          rt->RestoreInbox(machine, &workers[machine].inbox());
-        });
+      MachineRoundLoad& load = loads[machine];
+      const double* mults = worker.grouped_multiplicities();
+      const size_t inbox_size = worker.inbox().size();
+      for (size_t i = 0; i < inbox_size; ++i) {
+        load.recv_messages += mults[i];
+        if (!prefolded) {
+          // Wire units: what was actually serialized/deserialized.
+          load.processed_messages += combining ? 1.0 : mults[i];
+        }
       }
-      parallel_group_ns += ParallelGroupInboxes(
-          pool, std::span<Worker>(workers.data(), workers.size()), steal,
-          collect_times);
-      pool.ParallelFor(machines, prep_rest);
-    } else {
-      pool.ParallelFor(machines, prep_machine);
-    }
+      if (prefolded) {
+        // One element per key, so wire units come from the fold that
+        // built the inbox (integer counts — bit-identical to what a walk
+        // over per-pair outbox elements would sum).
+        load.processed_messages += folded_wire_in[machine];
+      }
+      if (!use_runs) {
+        // Built once here, read concurrently by this machine's shards.
+        worker.MaterializedInbox();
+      }
+      if (rt != nullptr) {
+        // Page in the vertex-state sections behind this round's targets
+        // (ascending section order; prefetched buffers are consumed at
+        // exactly the point a synchronous load would install them).
+        rt->TouchSections(machine, worker.runs());
+      }
+      plan.BuildForRuns(worker.runs(), shards_per_machine);
+    };
+    pool.ParallelFor(machines, prep_machine);
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
 
     // --- Phase B: sharded compute kernels ---
@@ -827,7 +813,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     };
     parallel_shards(num_shard_tasks, run_shard);
 
-    // --- Phase C: canonical merge into worker outboxes ---
+    // --- Phase C: canonical merge into worker outboxes (or grouped
+    // delivery straight into next round's inboxes, see fold_dest) ---
     // One task per (sender, destination) pair walks the sender's shard
     // arenas for that destination in ascending shard order — exactly the
     // sender's serial emission order — so combining folds, outbox bytes
@@ -970,44 +957,83 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       slot.logical_cross_in = logical_in;
       if (collect_times) slot.merge_ns = wallclock::NowNs() - t0;
     };
-    // Unified fold: one task per destination replaces that destination's
-    // column of merge_pair tasks AND its delivery AND next round's
-    // grouping. Folding senders in machine order, each sender's arenas in
-    // shard order, is the exact FP operation sequence the receiver's
-    // per-run fold would see over the raw grouped inbox (stable grouping
-    // is sender-major), so task results are bit-identical to the
-    // non-combining run at every thread and shard count.
+    // Grouped delivery: one task per destination replaces that
+    // destination's column of merge_pair tasks AND its delivery AND next
+    // round's grouping. Both builders share one arena walk — senders in
+    // machine order, each sender's arenas in shard order — which is the
+    // arrival order of the sender-major inbox delivery would produce, and
+    // stable grouping keeps that order within each key. So the counting
+    // scatter lays out exactly GroupInbox's grouped columns, and the fold
+    // performs exactly the FP operation sequence the receiver's per-run
+    // fold would, at every thread and shard count.
     auto fold_dest = [&](uint32_t dest) {
       const uint64_t t0 = collect_times ? wallclock::NowNs() : 0;
-      UnifiedCombineTable& table = scratch.unified_combine[dest];
-      table.EnsureSlots(dense_slots[dest]);
-      table.BeginFold();
+      DestSlotTable& table = scratch.dest_slots[dest];
+      const size_t total_slots = dense_slots[dest];
+      table.Begin(total_slots, combining);
       const uint32_t cur_epoch = table.cur_epoch;
-      UnifiedCombineTable::Slot* const slots = table.slots.data();
       uint32_t* const block_epoch = table.block_epoch.data();
-      MessageBlock& inbox = workers[dest].inbox();
-      inbox.Clear();
-      double wire_total = 0.0;
-      size_t distinct = 0;
+      for (uint32_t sender = 0; sender < machines; ++sender) {
+        merge_slots[sender * machines + dest].Clear();
+      }
       // The arenas' target column holds destination slot indices (the
-      // sinks store them under slot_targets), so the fold addresses its
-      // table straight off the stream; the combine op is lifted out of
-      // the loop as a template parameter so each kind gets a tight
-      // specialised loop.
-      auto fold_senders = [&](double identity, auto&& combine_op) {
+      // sinks store them under slot_targets), so both builders address
+      // the table straight off the stream.
+      auto for_each_arena = [&](auto&& visit) {
         for (uint32_t sender = 0; sender < machines; ++sender) {
           MergeSlot& slot = merge_slots[sender * machines + dest];
-          slot.Clear();
-          size_t new_key_count = 0;
-          double mult_sum = 0.0;
           const uint32_t first_task = sender * shards_per_machine;
           for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
-            const MessageBlock& arena =
-                shard_sinks[first_task + shard]->arena(dest);
+            visit(sender, slot, shard_sinks[first_task + shard]->arena(dest));
+          }
+        }
+      };
+      // Visits every slot of the blocks this build touched, ascending —
+      // ascending (target, tag), since local indices ascend with vertex
+      // ids — restoring real vertex ids from the local vertex list.
+      const std::vector<VertexId>& locals = vertices_by_machine_[dest];
+      auto for_each_touched_slot = [&](auto&& visit) {
+        constexpr size_t kBlockSlots = size_t{1}
+                                       << DestSlotTable::kBlockShift;
+        for (size_t block = 0; block * kBlockSlots < total_slots; ++block) {
+          if (block_epoch[block] != cur_epoch) continue;
+          const size_t begin = block * kBlockSlots;
+          const size_t end = std::min(begin + kBlockSlots, total_slots);
+          size_t local = begin / tag_universe;
+          uint32_t tag = static_cast<uint32_t>(begin % tag_universe);
+          for (size_t s = begin; s < end; ++s) {
+            visit(s, locals[local], tag);
+            if (++tag == tag_universe) {
+              tag = 0;
+              ++local;
+            }
+          }
+        }
+      };
+      MessageBlock& inbox = workers[dest].inbox();
+      inbox.Clear();
+      // The runs are the round's only key source (the Worker contract
+      // already routes consumers through runs()), so the inbox's own
+      // target/tag columns stay unwritten — two dead store streams fewer
+      // per message. One run of slack: the branchless emission loops
+      // store unconditionally, so dead slots after the last live one
+      // write one past the cursor.
+      std::vector<MessageRun>& runs = workers[dest].pregrouped_runs();
+      size_t live = 0;  // Distinct keys = runs.
+      size_t emitted = 0;
+      if (combining) {
+        DestSlotTable::FoldSlot* const slots = table.fold.data();
+        double wire_total = 0.0;
+        // The combine op is lifted out of the loop as a template
+        // parameter so each kind gets a tight specialised loop.
+        auto fold_arenas = [&](double identity, auto&& combine_op) {
+          for_each_arena([&](uint32_t sender, MergeSlot& slot,
+                             const MessageBlock& arena) {
             const VertexId* key_slots = arena.targets();
             const double* values = arena.values();
             const double* mults = arena.multiplicities();
             const size_t n = arena.size();
+            size_t new_key_count = 0;
             // The table access is a random load; prefetching a fixed
             // distance ahead keeps several misses in flight at once. The
             // body is branchless — a first touch folds into the
@@ -1025,9 +1051,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
                     &slots[key_slots[i + kFoldPrefetchDistance]], 1, 1);
               }
               const size_t key_slot = key_slots[i];
-              assert(key_slot < dense_slots[dest] &&
+              assert(key_slot < total_slots &&
                      "program sent a tag outside its declared universe");
-              UnifiedCombineTable::Slot& entry = slots[key_slot];
+              DestSlotTable::FoldSlot& entry = slots[key_slot];
               const bool fresh = entry.epoch != cur_epoch;
               const double base_value = fresh ? identity : entry.value;
               const double base_mult = fresh ? 0.0 : entry.mult;
@@ -1036,7 +1062,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
               entry.mult = base_mult + mults[i];
               entry.epoch = cur_epoch;
               entry.last_sender = sender;
-              block_epoch[key_slot >> UnifiedCombineTable::kBlockShift] =
+              block_epoch[key_slot >> DestSlotTable::kBlockShift] =
                   cur_epoch;
               // A sender's first touch of a key — fresh or last touched
               // by an earlier sender — is one wire unit from that sender
@@ -1044,95 +1070,117 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
               // sender's outbox).
               new_key_count +=
                   static_cast<size_t>(fresh | (prev_sender != sender));
-              distinct += static_cast<size_t>(fresh);
+              live += static_cast<size_t>(fresh);
               if (i & 1) {
                 mult_odd += mults[i];
               } else {
                 mult_even += mults[i];
               }
             }
-            mult_sum += mult_even + mult_odd;
-          }
-          const double new_keys = static_cast<double>(new_key_count);
-          slot.new_wire_keys = new_keys;
-          if (dest != sender) {
-            slot.wire_cross_in = new_keys;
-            slot.logical_cross_in = mult_sum;
-          }
-          wire_total += new_keys;
+            // Integer-valued counts: per-arena adds are exact.
+            const double new_keys = static_cast<double>(new_key_count);
+            slot.new_wire_keys += new_keys;
+            wire_total += new_keys;
+            if (sender != dest) {
+              slot.wire_cross_in += new_keys;
+              slot.logical_cross_in += mult_even + mult_odd;
+            }
+          });
+        };
+        if (workers[dest].combiner_kind() == CombinerKind::kMin) {
+          fold_arenas(std::numeric_limits<double>::infinity(),
+                      [](double base, double value) {
+                        return value < base ? value : base;
+                      });
+        } else {
+          fold_arenas(0.0,
+                      [](double base, double value) { return base + value; });
         }
-      };
-      const CombinerKind kind = workers[dest].combiner_kind();
-      if (kind == CombinerKind::kMin) {
-        fold_senders(std::numeric_limits<double>::infinity(),
-                     [](double base, double value) {
-                       return value < base ? value : base;
-                     });
-      } else {
-        fold_senders(0.0,
-                     [](double base, double value) { return base + value; });
-      }
-      unified_wire_in[dest] = wire_total;
-      // Emit in ascending slot order — ascending (target, tag), since
-      // local indices ascend with vertex ids — so the inbox arrives
-      // pre-sorted and next round's GroupInbox takes its no-permutation
-      // fast path. Blocks no fold entry marked are skipped wholesale.
-      // One slot of slack: the branchless compaction below stores
-      // unconditionally, so dead slots after the last live one write
-      // (and a growth landing exactly on `distinct` would overflow)
-      // one past the cursor.
-      inbox.Reserve(distinct + 1);
-      inbox.ResizeUninitialized(distinct);
-      double* const out_values = inbox.values();
-      double* const out_mults = inbox.multiplicities();
-      // Every emitted key is distinct, so its run is a singleton; build
-      // the runs here while target and tag are in registers and next
-      // round's prep publishes them instead of re-deriving them from a
-      // grouping scan. The runs are the round's only key source (the
-      // Worker contract already routes consumers through runs()), so the
-      // inbox's own target/tag columns stay unwritten — two dead store
-      // streams fewer per key.
-      std::vector<MessageRun>& runs = workers[dest].pregrouped_runs();
-      runs.resize(distinct + 1);
-      MessageRun* const out_runs = runs.data();
-      size_t emitted = 0;
-      const std::vector<VertexId>& locals = vertices_by_machine_[dest];
-      const size_t total_slots = dense_slots[dest];
-      constexpr size_t kBlockSlots =
-          size_t{1} << UnifiedCombineTable::kBlockShift;
-      for (size_t block = 0; block * kBlockSlots < total_slots; ++block) {
-        if (block_epoch[block] != cur_epoch) continue;
-        const size_t begin = block * kBlockSlots;
-        const size_t end = std::min(begin + kBlockSlots, total_slots);
-        size_t local = begin / tag_universe;
-        uint32_t tag = static_cast<uint32_t>(begin % tag_universe);
+        folded_wire_in[dest] = wire_total;
+        // Every emitted key is distinct, so its run is a singleton.
         // Branchless compaction: store unconditionally, advance the
         // cursor only on live slots — the live/dead mix inside a touched
         // block is as unpredictable as the fold's.
-        for (size_t s = begin; s < end; ++s) {
-          const UnifiedCombineTable::Slot& entry = slots[s];
+        inbox.Reserve(live + 1);
+        inbox.ResizeUninitialized(live);
+        double* const out_values = inbox.values();
+        double* const out_mults = inbox.multiplicities();
+        runs.resize(live + 1);
+        MessageRun* const out_runs = runs.data();
+        for_each_touched_slot([&](size_t s, VertexId target, uint32_t tag) {
+          const DestSlotTable::FoldSlot& entry = slots[s];
           out_values[emitted] = entry.value;
           out_mults[emitted] = entry.mult;
           out_runs[emitted] =
-              MessageRun{locals[local], tag, static_cast<uint32_t>(emitted),
+              MessageRun{target, tag, static_cast<uint32_t>(emitted),
                          static_cast<uint32_t>(emitted) + 1};
           emitted += static_cast<size_t>(entry.epoch == cur_epoch);
-          if (++tag == tag_universe) {
-            tag = 0;
-            ++local;
+        });
+      } else {
+        // Counting sort by slot: count, turn counts into run offsets,
+        // scatter in arrival order (stable), re-zero the touched blocks.
+        uint32_t* const counts = table.counts.data();
+        size_t total = 0;
+        for_each_arena([&](uint32_t sender, MergeSlot& slot,
+                           const MessageBlock& arena) {
+          const VertexId* key_slots = arena.targets();
+          const size_t n = arena.size();
+          for (size_t i = 0; i < n; ++i) {
+            const size_t key_slot = key_slots[i];
+            assert(key_slot < total_slots &&
+                   "program sent a tag outside its declared universe");
+            const uint32_t count = counts[key_slot];
+            live += static_cast<size_t>(count == 0);
+            counts[key_slot] = count + 1;
+            block_epoch[key_slot >> DestSlotTable::kBlockShift] = cur_epoch;
           }
-        }
+          total += n;
+          if (sender != dest) {
+            // merge_pair's plain branch: wire == logical traffic, summed
+            // in emission order.
+            const double* mults = arena.multiplicities();
+            double logical_in = slot.logical_cross_in;
+            for (size_t i = 0; i < n; ++i) logical_in += mults[i];
+            slot.logical_cross_in = logical_in;
+            slot.wire_cross_in = logical_in;
+          }
+        });
+        runs.resize(live + 1);
+        MessageRun* const out_runs = runs.data();
+        uint32_t offset = 0;
+        for_each_touched_slot([&](size_t s, VertexId target, uint32_t tag) {
+          const uint32_t count = counts[s];
+          out_runs[emitted] = MessageRun{target, tag, offset, offset + count};
+          counts[s] = offset;  // Scatter cursor (dead slots: re-zeroed).
+          offset += count;
+          emitted += static_cast<size_t>(count != 0);
+        });
+        inbox.ResizeUninitialized(total);
+        double* const out_values = inbox.values();
+        double* const out_mults = inbox.multiplicities();
+        for_each_arena([&](uint32_t, MergeSlot&, const MessageBlock& arena) {
+          const VertexId* key_slots = arena.targets();
+          const double* values = arena.values();
+          const double* mults = arena.multiplicities();
+          const size_t n = arena.size();
+          for (size_t i = 0; i < n; ++i) {
+            const uint32_t pos = counts[key_slots[i]]++;
+            out_values[pos] = values[i];
+            out_mults[pos] = mults[i];
+          }
+        });
+        for_each_touched_slot(
+            [&](size_t s, VertexId, uint32_t) { counts[s] = 0; });
       }
-      assert(emitted == distinct &&
-             "emission must cover exactly the folded keys");
+      assert(emitted == live && "emission must cover exactly the live keys");
       (void)emitted;
-      runs.resize(distinct);
+      runs.resize(live);
       if (collect_times) {
         merge_slots[static_cast<size_t>(dest) * machines + dest].merge_ns =
             wallclock::NowNs() - t0;
       }
     };
-    if (unified_combine) {
+    if (grouped_delivery) {
       pool.ParallelFor(machines, fold_dest);
     } else {
       parallel_shards(machines * machines, merge_pair);
@@ -1483,7 +1531,8 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
 
     // --- Deliver: drain all outboxes into next-round inboxes ---
-    // Two passes, both sub-machine parallel in the common (non-OOC) case:
+    // Runs outside grouped delivery only. Two passes, both sub-machine
+    // parallel in the in-memory case:
     // pass 1 (per destination) sizes the inbox as the fixed sender-major
     // concatenation and records each sender's slice offset; pass 2 (per
     // (sender, dest) pair) memcpys the disjoint column slices. The inbox
@@ -1492,9 +1541,9 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     // sender (every single-machine cluster, and any quiet destination)
     // swaps buffers in pass 1 instead of copying.
     const uint64_t deliver_start_ns = wallclock::NowNs();
-    if (unified_combine) {
-      // The unified fold already wrote every destination's inbox; there
-      // are no outboxes to move.
+    if (grouped_delivery) {
+      // fold_dest already wrote every destination's inbox; there are no
+      // outboxes to move.
     } else if (rt == nullptr) {
       pool.ParallelFor(machines, [&](uint32_t dest) {
         MessageBlock& inbox = workers[dest].inbox();
@@ -1645,9 +1694,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     for (const Worker& worker : workers) {
       result.phase.group_seconds += worker.group_ns() * 1e-9;
     }
-    // Lockstep grouping bypasses the per-worker timers (one wall clock
-    // around the whole fan-out instead), so this is an add, not overlap.
-    result.phase.group_seconds += parallel_group_ns * 1e-9;
   }
   if (tracer != nullptr) {
     // One Add per run, mirroring RunReport::Absorb's per-batch

@@ -78,12 +78,6 @@ struct EngineOptions {
   /// routing already dedupes the wire) and when the program has no
   /// combiner.
   bool sender_combining = false;
-  /// Group large inboxes with pool-wide lockstep passes (per-chunk
-  /// histogram + prefix-sum scatter, fixed chunk count) instead of one
-  /// serial sort per machine, making grouping parallelism
-  /// machines x threads. Grouped output is bit-identical to the serial
-  /// strategies at every thread count (DESIGN.md section 16).
-  bool parallel_grouping = true;
 
   /// --- Observability (src/obs) ---
   /// When set, the engine emits one nested span group per round on
@@ -136,7 +130,9 @@ struct EngineOptions {
 struct EnginePhaseTimes {
   double compute_seconds = 0.0;  // Superstep compute (includes group/stage).
   double group_seconds = 0.0;    // Worker::GroupInbox busy time.
-  double stage_seconds = 0.0;    // Arena-merge (staging) busy time.
+  /// Arena-merge busy time; under grouped delivery this is the whole
+  /// per-destination inbox build (merge, delivery and grouping in one).
+  double stage_seconds = 0.0;
   double deliver_seconds = 0.0;  // Outbox -> inbox delivery.
 };
 
@@ -245,7 +241,7 @@ class SyncEngine {
   struct ShardPlan;
   struct MergeSlot;
   struct DenseCombineTable;
-  struct UnifiedCombineTable;
+  struct DestSlotTable;
   struct RunScratch;
 
   /// Per-machine share of CSR storage, generated scale.
@@ -268,7 +264,8 @@ class SyncEngine {
   std::vector<std::vector<VertexId>> vertices_by_machine_;
   /// local_index_[v] = position of v within vertices_by_machine_[its
   /// machine] — the dense per-machine vertex numbering the direct-indexed
-  /// combine tables key on. Ascending in v within each machine.
+  /// slot tables (grouped delivery, dense merge) key on. Ascending in v
+  /// within each machine.
   std::vector<uint32_t> local_index_;
 };
 

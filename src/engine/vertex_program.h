@@ -147,12 +147,19 @@ class VertexProgram {
   virtual const Combiner* combiner() const { return nullptr; }
 
   /// Upper bound on the tag values this program ever sends: every tag is
-  /// in [0, combine_tag_universe()), or 0 when tags are unbounded /
-  /// unknown (e.g. tags carrying raw vertex ids). A small dense universe
-  /// lets combining engines replace the hash-probe combine index with a
-  /// direct-indexed table over (local vertex, tag) — the same first-touch
-  /// fold, minus the probing.
-  virtual uint32_t combine_tag_universe() const { return 0; }
+  /// in [0, tag_universe()), or 0 when tags are unbounded / unknown (e.g.
+  /// tags carrying raw vertex ids). A bounded universe numbers each
+  /// (target, tag) key a machine can receive with a dense slot (local
+  /// vertex x tags + tag). When the largest machine's slot space is small
+  /// enough, the synchronous engine builds every in-memory, unmirrored
+  /// inbox straight from the senders' arenas through direct-indexed slot
+  /// tables — grouped delivery, which folds to one element per key when
+  /// combining and counting-sorts the raw messages otherwise — instead of
+  /// merging per-pair outboxes, delivering them and grouping at the
+  /// receiver; combining runs outside that path use the same slots in
+  /// place of the hash-probe combine index. Results are identical either
+  /// way; a tag outside the declared universe is a program error.
+  virtual uint32_t tag_universe() const { return 0; }
 };
 
 }  // namespace vcmp

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
 
-#include "common/thread_pool.h"
 #include "common/wall_clock.h"
 
 namespace vcmp {
@@ -50,8 +48,6 @@ void Worker::Reset(uint32_t num_machines) {
   send_stats_.Clear();
   group_ns_ = 0;
   stage_ns_ = 0;
-  group_mode_ = GroupMode::kIdle;
-  group_digit_passes_ = 0;
 }
 
 void Worker::Drain(uint32_t machine, MessageBlock* dest) {
@@ -68,28 +64,25 @@ void Worker::SwapOutbox(uint32_t machine, MessageBlock* dest) {
 
 void Worker::GroupInbox() {
   const uint64_t t0 = collect_timing_ ? NowNs() : 0;
-  GroupInboxSerial();
-  if (collect_timing_) group_ns_ += NowNs() - t0;
-}
-
-void Worker::PublishPregroupedRuns() {
-  // runs_ was filled by the fold through pregrouped_runs(); the payload
-  // stays in the inbox columns, exactly like the sorted fast path.
-  aos_valid_ = false;
-  grouped_values_ptr_ = inbox_.values();
-  grouped_mults_ptr_ = inbox_.multiplicities();
-}
-
-
-
-void Worker::GroupInboxSerial() {
   const size_t n = inbox_.size();
   runs_.clear();
   aos_valid_ = false;
   grouped_values_ptr_ = inbox_.values();
   grouped_mults_ptr_ = inbox_.multiplicities();
-  if (n == 0) return;
+  if (n > 0) GroupNonEmpty(n);
+  if (collect_timing_) group_ns_ += NowNs() - t0;
+}
 
+void Worker::PublishPregroupedRuns() {
+  // runs_ was filled by the engine's per-destination inbox builder
+  // through pregrouped_runs(); the payload stays in the inbox columns,
+  // exactly like the sorted fast path.
+  aos_valid_ = false;
+  grouped_values_ptr_ = inbox_.values();
+  grouped_mults_ptr_ = inbox_.multiplicities();
+}
+
+void Worker::GroupNonEmpty(size_t n) {
   // One scan packs the keys, finds the bytes that actually vary
   // (targets/tags rarely use all 64 bits, so most radix passes skip),
   // and detects an already-sorted inbox — common after single-sender
@@ -219,270 +212,6 @@ void Worker::BuildRunsFromKeys(size_t n) {
                                static_cast<uint32_t>(j)});
     i = j;
   }
-}
-
-void Worker::GroupScanBegin() {
-  const size_t n = inbox_.size();
-  if (n < kParallelGroupingThreshold) {
-    // One serial sort beats the pass barriers here. Timing is NOT added
-    // to group_ns_: the parallel driver measures the whole episode as
-    // wall time, and this call runs inside it.
-    GroupInboxSerial();
-    group_mode_ = GroupMode::kSerialDone;
-    group_digit_passes_ = 0;
-    return;
-  }
-  runs_.clear();
-  aos_valid_ = false;
-  grouped_values_ptr_ = inbox_.values();
-  grouped_mults_ptr_ = inbox_.multiplicities();
-  keys_.resize(n);
-  pairs_.resize(n);
-  pair_scratch_.resize(n);
-  chunk_or_.assign(kGroupChunks, 0);
-  chunk_and_.assign(kGroupChunks, ~uint64_t{0});
-  chunk_first_.assign(kGroupChunks, 0);
-  chunk_last_.assign(kGroupChunks, 0);
-  chunk_sorted_.assign(kGroupChunks, 1);
-  chunk_empty_.assign(kGroupChunks, 1);
-  group_mode_ = GroupMode::kScan;
-  group_digit_passes_ = 0;
-}
-
-void Worker::GroupScanChunk(uint32_t chunk) {
-  if (group_mode_ != GroupMode::kScan) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (begin == end) return;  // chunk_empty_ stays set.
-  const VertexId* targets = inbox_.targets();
-  const uint32_t* tags = inbox_.tags();
-  uint64_t all_or = 0;
-  uint64_t all_and = ~uint64_t{0};
-  uint64_t prev = 0;
-  bool sorted = true;
-  for (size_t i = begin; i < end; ++i) {
-    const uint64_t key =
-        (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
-    keys_[i] = key;
-    pairs_[i] = KeyIdx{key, static_cast<uint32_t>(i)};
-    all_or |= key;
-    all_and &= key;
-    sorted &= (i == begin || key >= prev);
-    prev = key;
-  }
-  chunk_or_[chunk] = all_or;
-  chunk_and_[chunk] = all_and;
-  chunk_first_[chunk] = keys_[begin];
-  chunk_last_[chunk] = keys_[end - 1];
-  chunk_sorted_[chunk] = sorted ? 1 : 0;
-  chunk_empty_[chunk] = 0;
-}
-
-void Worker::GroupPlan() {
-  if (group_mode_ != GroupMode::kScan) return;
-  const size_t n = inbox_.size();
-  uint64_t all_or = 0;
-  uint64_t all_and = ~uint64_t{0};
-  bool sorted = true;
-  uint64_t prev_last = 0;
-  bool have_prev = false;
-  for (uint32_t c = 0; c < kGroupChunks; ++c) {
-    if (chunk_empty_[c]) continue;
-    all_or |= chunk_or_[c];
-    all_and &= chunk_and_[c];
-    sorted = sorted && chunk_sorted_[c] != 0 &&
-             (!have_prev || chunk_first_[c] >= prev_last);
-    prev_last = chunk_last_[c];
-    have_prev = true;
-  }
-  if (sorted) {
-    BuildRunsFromKeys(n);  // Payload stays in the inbox columns.
-    group_mode_ = GroupMode::kSerialDone;
-    return;
-  }
-  const uint64_t varying = all_or ^ all_and;
-  grouped_values_.resize(n);
-  grouped_mults_.resize(n);
-  const bool single_tag = (varying & 0xffffffffULL) == 0;
-  if (single_tag && vertex_space_ > 0 &&
-      n >= static_cast<size_t>(vertex_space_) &&
-      vertex_space_ <= kDenseParallelMaxVertexSpace) {
-    group_mode_ = GroupMode::kDense;
-    group_digit_passes_ = 1;
-    // Values are stale; each histogram chunk zeroes its own slice.
-    chunk_hist_.resize(static_cast<size_t>(kGroupChunks) * vertex_space_);
-    return;
-  }
-  // Unsorted implies at least two distinct keys, so `varying` has at
-  // least one nonzero byte and the radix always gets >= 1 pass. Every
-  // listed pass executes (no skipping), so the ping-pong buffer parity
-  // below is simply the pass index's parity.
-  group_mode_ = GroupMode::kRadix;
-  digit_shifts_.clear();
-  for (int byte = 0; byte < 8; ++byte) {
-    if (((varying >> (byte * 8)) & 0xff) != 0) {
-      digit_shifts_.push_back(byte * 8);
-    }
-  }
-  group_digit_passes_ = static_cast<uint32_t>(digit_shifts_.size());
-  chunk_hist_.resize(static_cast<size_t>(kGroupChunks) * 256);
-}
-
-void Worker::GroupHistChunk(uint32_t pass, uint32_t chunk) {
-  if (pass >= group_digit_passes_) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (group_mode_ == GroupMode::kRadix) {
-    const int shift = digit_shifts_[pass];
-    const KeyIdx* src =
-        (pass % 2 == 0) ? pairs_.data() : pair_scratch_.data();
-    uint32_t* hist = chunk_hist_.data() + static_cast<size_t>(chunk) * 256;
-    std::fill_n(hist, 256, 0u);
-    for (size_t i = begin; i < end; ++i) {
-      hist[(src[i].key >> shift) & 0xff]++;
-    }
-  } else {  // kDense.
-    uint32_t* hist =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * vertex_space_;
-    std::fill_n(hist, vertex_space_, 0u);
-    const VertexId* targets = inbox_.targets();
-    for (size_t i = begin; i < end; ++i) hist[targets[i]]++;
-  }
-}
-
-void Worker::GroupPrefix(uint32_t pass) {
-  if (pass >= group_digit_passes_) return;
-  // Digit-major outer, chunk-minor inner: within one digit every chunk's
-  // elements land AFTER all lower chunks' — i.e. in input order — which
-  // reproduces the serial stable scatter's permutation exactly.
-  if (group_mode_ == GroupMode::kRadix) {
-    uint32_t offset = 0;
-    for (uint32_t digit = 0; digit < 256; ++digit) {
-      for (uint32_t c = 0; c < kGroupChunks; ++c) {
-        uint32_t& slot = chunk_hist_[static_cast<size_t>(c) * 256 + digit];
-        const uint32_t count = slot;
-        slot = offset;  // Histogram becomes this chunk's scatter cursor.
-        offset += count;
-      }
-    }
-  } else {  // kDense: same shape over vertex buckets; also emits runs.
-    const uint32_t tag = inbox_.tags()[0];  // Single-tag precondition.
-    uint32_t offset = 0;
-    for (VertexId t = 0; t < vertex_space_; ++t) {
-      uint32_t total = 0;
-      for (uint32_t c = 0; c < kGroupChunks; ++c) {
-        uint32_t& slot =
-            chunk_hist_[static_cast<size_t>(c) * vertex_space_ + t];
-        const uint32_t count = slot;
-        slot = offset;
-        offset += count;
-        total += count;
-      }
-      if (total != 0) {
-        runs_.push_back(MessageRun{t, tag, offset - total, offset});
-      }
-    }
-  }
-}
-
-void Worker::GroupScatterChunk(uint32_t pass, uint32_t chunk) {
-  if (pass >= group_digit_passes_) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  if (group_mode_ == GroupMode::kRadix) {
-    const int shift = digit_shifts_[pass];
-    const bool even = (pass % 2 == 0);
-    const KeyIdx* src = even ? pairs_.data() : pair_scratch_.data();
-    KeyIdx* dst = even ? pair_scratch_.data() : pairs_.data();
-    uint32_t* cursor =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * 256;
-    for (size_t i = begin; i < end; ++i) {
-      dst[cursor[(src[i].key >> shift) & 0xff]++] = src[i];
-    }
-  } else {  // kDense: scatter the payload directly (one pass total).
-    uint32_t* cursor =
-        chunk_hist_.data() + static_cast<size_t>(chunk) * vertex_space_;
-    const VertexId* targets = inbox_.targets();
-    const double* values = inbox_.values();
-    const double* mults = inbox_.multiplicities();
-    for (size_t i = begin; i < end; ++i) {
-      const uint32_t pos = cursor[targets[i]]++;
-      grouped_values_[pos] = values[i];
-      grouped_mults_[pos] = mults[i];
-    }
-  }
-}
-
-void Worker::GroupGatherChunk(uint32_t chunk) {
-  if (group_mode_ != GroupMode::kRadix) return;
-  const auto [begin, end] = ChunkRange(inbox_.size(), chunk);
-  const KeyIdx* sorted = (group_digit_passes_ % 2 == 0)
-                             ? pairs_.data()
-                             : pair_scratch_.data();
-  const double* values = inbox_.values();
-  const double* mults = inbox_.multiplicities();
-  for (size_t i = begin; i < end; ++i) {
-    const KeyIdx pair = sorted[i];
-    keys_[i] = pair.key;
-    grouped_values_[i] = values[pair.idx];
-    grouped_mults_[i] = mults[pair.idx];
-  }
-}
-
-void Worker::GroupFinish() {
-  if (group_mode_ == GroupMode::kRadix) {
-    BuildRunsFromKeys(inbox_.size());
-  }
-  if (group_mode_ == GroupMode::kRadix ||
-      group_mode_ == GroupMode::kDense) {
-    grouped_values_ptr_ = grouped_values_.data();
-    grouped_mults_ptr_ = grouped_mults_.data();
-  }
-  group_mode_ = GroupMode::kIdle;
-  group_digit_passes_ = 0;
-}
-
-uint64_t ParallelGroupInboxes(ThreadPool& pool, std::span<Worker> workers,
-                              bool steal, bool collect_timing) {
-  const uint64_t t0 = collect_timing ? NowNs() : 0;
-  const uint32_t machines = static_cast<uint32_t>(workers.size());
-  const uint32_t chunks = Worker::kGroupChunks;
-  const uint32_t chunk_tasks = machines * chunks;
-  auto launch = [&pool, steal](uint32_t count,
-                               const std::function<void(uint32_t)>& fn) {
-    if (steal) {
-      pool.ParallelForStealable(count, fn);
-    } else {
-      pool.ParallelFor(count, fn);
-    }
-  };
-  pool.ParallelFor(machines,
-                   [&](uint32_t m) { workers[m].GroupScanBegin(); });
-  launch(chunk_tasks, [&](uint32_t task) {
-    workers[task / chunks].GroupScanChunk(task % chunks);
-  });
-  pool.ParallelFor(machines, [&](uint32_t m) { workers[m].GroupPlan(); });
-  // The lockstep digit count is the fleet maximum; machines with fewer
-  // varying bytes no-op the surplus passes.
-  uint32_t max_passes = 0;
-  for (const Worker& worker : workers) {
-    max_passes = std::max(max_passes, worker.group_digit_passes());
-  }
-  for (uint32_t pass = 0; pass < max_passes; ++pass) {
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupHistChunk(pass, task % chunks);
-    });
-    pool.ParallelFor(machines,
-                     [&](uint32_t m) { workers[m].GroupPrefix(pass); });
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupScatterChunk(pass, task % chunks);
-    });
-  }
-  if (max_passes > 0) {
-    launch(chunk_tasks, [&](uint32_t task) {
-      workers[task / chunks].GroupGatherChunk(task % chunks);
-    });
-  }
-  pool.ParallelFor(machines,
-                   [&](uint32_t m) { workers[m].GroupFinish(); });
-  return collect_timing ? NowNs() - t0 : 0;
 }
 
 std::span<const Message> Worker::MaterializedInbox() {

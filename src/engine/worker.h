@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/wall_clock.h"
@@ -12,8 +11,6 @@
 #include "graph/partition.h"
 
 namespace vcmp {
-
-class ThreadPool;
 
 /// Send-side statistics a worker accumulates during one round, at
 /// generated-graph scale.
@@ -208,66 +205,19 @@ class Worker {
   /// pairs. Only the two 8-byte payload columns are gathered.
   void GroupInbox();
 
-  /// Engine fast path for the unified combine fold (DESIGN.md §16): the
-  /// fold emits this worker's inbox already grouped — ascending distinct
-  /// (target, tag) keys, one element each — and writes the matching
-  /// singleton runs into pregrouped_runs() in the same pass, so neither
-  /// a sortedness scan nor a run-building pass is needed.
-  /// PublishPregroupedRuns() then replaces GroupInbox() for the round;
-  /// the published state is bit-identical to what grouping the same
-  /// inbox would produce (the sorted fast path would rebuild exactly
-  /// these runs over the same in-place payload columns). Only the
-  /// inbox's payload columns are written on this path — the runs are
-  /// the round's sole key source, so the target/tag columns hold
-  /// unspecified bytes (the GroupInbox contract already routes every
-  /// consumer through runs()).
+  /// Engine fast path for grouped delivery (DESIGN.md §16): the
+  /// per-destination builder writes this worker's inbox payload already
+  /// grouped — ascending (target, tag), arrival order within each key,
+  /// one element per key when it folded — and writes the matching runs
+  /// into pregrouped_runs() in the same pass, so no grouping pass is
+  /// needed. PublishPregroupedRuns() then replaces GroupInbox() for the
+  /// round; the published state is bit-identical to what grouping the
+  /// sender-major inbox would produce. Only the inbox's payload columns
+  /// are written on this path — the runs are the round's sole key
+  /// source, so the target/tag columns hold unspecified bytes (the
+  /// GroupInbox contract already routes every consumer through runs()).
   std::vector<MessageRun>& pregrouped_runs() { return runs_; }
   void PublishPregroupedRuns();
-
-  /// --- Parallel grouping pass API ---
-  /// Thread-parallel variant of GroupInbox, driven by the free function
-  /// ParallelGroupInboxes below in pool-wide lockstep passes. Each call
-  /// touches only this worker's state; concurrent calls for one worker
-  /// are distinct chunks writing disjoint index slices, so the passes
-  /// are race-free without any synchronization. The grouped output —
-  /// runs(), grouped columns, key order — is bit-identical to
-  /// GroupInbox(): the chunked LSD radix reserves, for every digit, the
-  /// chunk-major slots of a chunk's elements, which reproduces the
-  /// serial stable scatter's permutation exactly (DESIGN.md section 16).
-  ///
-  /// Fixed chunk count — NEVER derived from the thread count — so the
-  /// pass structure is a pure function of the inbox.
-  static constexpr uint32_t kGroupChunks = 16;
-  /// Below this size one serial sort beats the pass barriers; the begin
-  /// call then completes grouping immediately.
-  static constexpr size_t kParallelGroupingThreshold = 8192;
-  /// Dense counting keeps per-chunk vertex histograms; above this vertex
-  /// universe the memory no longer pays and the radix path runs instead
-  /// (same stable output either way).
-  static constexpr VertexId kDenseParallelMaxVertexSpace = 1u << 18;
-
-  /// Per machine: resets grouping state; small inboxes complete serially
-  /// here (GroupScanChunk and later passes then no-op).
-  void GroupScanBegin();
-  /// Per (machine, chunk): packs this chunk's keys and summarizes them
-  /// (varying bits, sortedness, boundary keys).
-  void GroupScanChunk(uint32_t chunk);
-  /// Per machine: folds the chunk summaries, finishes already-sorted
-  /// inboxes, and picks dense-counting vs LSD-radix for the rest.
-  void GroupPlan();
-  /// Histogram/prefix/scatter passes the driver repeats
-  /// group_digit_passes() times (radix: one per varying key byte; dense:
-  /// one). Calls with `pass >= group_digit_passes()` no-op, which is how
-  /// machines with fewer digits ride the fleet-wide lockstep.
-  uint32_t group_digit_passes() const { return group_digit_passes_; }
-  void GroupHistChunk(uint32_t pass, uint32_t chunk);
-  void GroupPrefix(uint32_t pass);
-  void GroupScatterChunk(uint32_t pass, uint32_t chunk);
-  /// Per (machine, chunk): gathers payload columns through the sorted
-  /// permutation (radix mode; dense scattered payload directly).
-  void GroupGatherChunk(uint32_t chunk);
-  /// Per machine: builds the runs and publishes the grouped columns.
-  void GroupFinish();
 
   /// The (target, tag) runs of the grouped inbox, ascending; valid after
   /// GroupInbox() until the inbox is next modified. Runs with equal
@@ -301,25 +251,10 @@ class Worker {
     uint32_t idx = 0;
   };
 
-  void GroupInboxSerial();
+  void GroupNonEmpty(size_t n);
   void SortPairsAndGather(uint64_t varying, size_t n);
   void GroupDense(size_t n);
   void BuildRunsFromKeys(size_t n);
-
-  /// [begin, end) of `chunk` when n elements split over kGroupChunks.
-  static std::pair<size_t, size_t> ChunkRange(size_t n, uint32_t chunk) {
-    return {n * chunk / kGroupChunks, n * (chunk + 1) / kGroupChunks};
-  }
-
-  /// Which grouping strategy the parallel pass driver is executing for
-  /// this worker's current inbox (decided by GroupPlan).
-  enum class GroupMode : uint8_t {
-    kIdle,        // Not inside a parallel grouping episode.
-    kScan,        // Begin ran; chunk scan + plan still pending.
-    kSerialDone,  // Completed serially (small / already sorted).
-    kRadix,       // Chunked byte-skipping LSD radix over (key, idx).
-    kDense,       // Chunked per-vertex counting scatter (single tag).
-  };
 
   MessageBlock inbox_;
   std::vector<MessageBlock> outboxes_;  // One per target machine.
@@ -347,34 +282,7 @@ class Worker {
   bool collect_timing_ = false;
   uint64_t group_ns_ = 0;
   uint64_t stage_ns_ = 0;
-
-  // Parallel-grouping episode state (valid GroupScanBegin..GroupFinish).
-  GroupMode group_mode_ = GroupMode::kIdle;
-  uint32_t group_digit_passes_ = 0;
-  std::vector<int> digit_shifts_;       // Radix: LSD shifts, varying only.
-  std::vector<uint64_t> chunk_or_;      // Per-chunk key summaries.
-  std::vector<uint64_t> chunk_and_;
-  std::vector<uint64_t> chunk_first_;
-  std::vector<uint64_t> chunk_last_;
-  std::vector<uint8_t> chunk_sorted_;
-  std::vector<uint8_t> chunk_empty_;
-  /// Radix: kGroupChunks x 256 digit counts, overwritten with scatter
-  /// starts by GroupPrefix. Dense: kGroupChunks x vertex_space counts.
-  std::vector<uint32_t> chunk_hist_;
 };
-
-/// Groups every worker's inbox using pool-wide flat lockstep passes, so
-/// grouping parallelism is machines x threads instead of machines. The
-/// sequence per round: a per-machine begin (small inboxes finish
-/// serially right there), a chunked key scan, a per-machine plan, then
-/// for each digit pass histogram -> prefix -> scatter chunk tasks, a
-/// chunked payload gather, and a per-machine finish. Grouped output is
-/// bit-identical to calling w.GroupInbox() on every worker, at every
-/// thread count. Chunk tasks are launched stealable when `steal` (the
-/// engine's work-stealing switch; outputs identical either way).
-/// Returns wall nanoseconds spent (0 unless `collect_timing`).
-uint64_t ParallelGroupInboxes(ThreadPool& pool, std::span<Worker> workers,
-                              bool steal, bool collect_timing);
 
 }  // namespace vcmp
 

@@ -82,7 +82,7 @@ class BpprCountingProgram : public VertexProgram {
   uint64_t walks_per_vertex() const { return walks_per_vertex_; }
   const Combiner* combiner() const override { return &sum_combiner_; }
   // Counting mode sends on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  uint32_t tag_universe() const override { return 1; }
 
  private:
   void AdvanceResident(VertexId v, uint64_t resident, MessageSink& sink);

@@ -54,7 +54,7 @@ class BpprSourceBatchProgram : public VertexProgram {
   double StateBytes(uint32_t machine) const override;
   const Combiner* combiner() const override { return &sum_combiner_; }
   // Shares travel on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  uint32_t tag_universe() const override { return 1; }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());

@@ -26,7 +26,7 @@ class ConnectedComponentsProgram : public VertexProgram {
   double StateBytes(uint32_t machine) const override;
   const Combiner* combiner() const override { return &min_combiner_; }
   // Labels travel on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  uint32_t tag_universe() const override { return 1; }
 
   /// The component label (minimum vertex id in the component) of v after
   /// the run.

@@ -61,7 +61,7 @@ class MsspProgram : public VertexProgram {
                   MessageSink& sink) override;
   const Combiner* combiner() const override { return &min_combiner_; }
   // Tags are sample indices: [0, num_samples).
-  uint32_t combine_tag_universe() const override { return num_samples(); }
+  uint32_t tag_universe() const override { return num_samples(); }
 
   uint32_t num_samples() const {
     return static_cast<uint32_t>(sources_.size());

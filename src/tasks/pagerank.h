@@ -41,7 +41,7 @@ class PageRankProgram : public VertexProgram {
   double StateBytes(uint32_t machine) const override;
   const Combiner* combiner() const override { return &sum_combiner_; }
   // Rank mass travels on the single tag 0.
-  uint32_t combine_tag_universe() const override { return 1; }
+  uint32_t tag_universe() const override { return 1; }
 
   double Rank(VertexId v) const { return rank_[v]; }
   /// Sum of ranks (== 1 minus leaked dangling mass).

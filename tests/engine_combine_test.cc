@@ -1,27 +1,32 @@
-// Tests of sender-side combining (DESIGN.md §16): the Sum/Min combiner
-// fold semantics the unified combine path relies on, the contract that
-// enabling combining changes wire traffic but never task results (at
-// every shard and thread count, on both sides of the dense-slot gate),
-// and the equivalence of serial GroupInbox against the pool-wide
-// parallel grouping passes for every grouping strategy.
+// Tests of the per-destination inbox builders (DESIGN.md §16): the
+// Sum/Min combiner fold semantics the combining fold relies on, the
+// contract that enabling combining changes wire traffic but never task
+// results (at every shard and thread count, on both sides of the
+// dense-slot gate), and grouped delivery with combining off reproducing
+// the independent merge -> deliver -> GroupInbox path bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/thread_pool.h"
+#include "core/concurrent_runner.h"
 #include "engine/message.h"
 #include "engine/sync_engine.h"
-#include "engine/worker.h"
+#include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
+#include "tasks/bkhs.h"
 #include "tasks/bppr.h"
 #include "tasks/mssp.h"
+#include "tasks/pagerank.h"
+#include "tasks/task_registry.h"
 #include "test_util.h"
 
 namespace vcmp {
@@ -101,30 +106,104 @@ TEST(MinCombinerTest, StrictLessKeepsEarlierMessageOnTies) {
 
 // --- Engine-level combining on/off -----------------------------------
 
-/// Full bit-identity including wire traffic — for runs that must be
-/// indistinguishable (same combining setting, different thread counts or
-/// internal toggles).
-void ExpectRunsBitIdentical(const EngineResult& a, const EngineResult& b) {
+/// Every RoundStats field and every EngineResult total, bit for bit — for
+/// runs that must be indistinguishable (same combining setting,
+/// different thread or shard counts or internal paths).
+void ExpectRunsFullyEqual(const EngineResult& a, const EngineResult& b) {
   EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.overloaded, b.overloaded);
   EXPECT_EQ(a.num_rounds, b.num_rounds);
   EXPECT_EQ(a.total_messages, b.total_messages);
   EXPECT_EQ(a.total_wire_messages, b.total_wire_messages);
   EXPECT_EQ(a.total_logical_sent, b.total_logical_sent);
   EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes);
+  EXPECT_EQ(a.peak_residual_bytes, b.peak_residual_bytes);
+  EXPECT_EQ(a.peak_buffered_bytes, b.peak_buffered_bytes);
+  EXPECT_EQ(a.network_overuse_seconds, b.network_overuse_seconds);
+  EXPECT_EQ(a.disk_overuse_seconds, b.disk_overuse_seconds);
+  EXPECT_EQ(a.disk_utilization, b.disk_utilization);
+  EXPECT_EQ(a.disk_saturated, b.disk_saturated);
+  EXPECT_EQ(a.max_io_queue_length, b.max_io_queue_length);
+  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
+  EXPECT_EQ(a.residual_bytes_per_machine, b.residual_bytes_per_machine);
   ASSERT_EQ(a.rounds.size(), b.rounds.size());
   for (size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].messages, b.rounds[i].messages) << "round " << i;
-    EXPECT_EQ(a.rounds[i].cross_machine_bytes,
-              b.rounds[i].cross_machine_bytes)
-        << "round " << i;
+    SCOPED_TRACE(testing::Message() << "round " << i);
+    const RoundStats& x = a.rounds[i];
+    const RoundStats& y = b.rounds[i];
+    EXPECT_EQ(x.round, y.round);
+    EXPECT_EQ(x.messages, y.messages);
+    EXPECT_EQ(x.message_bytes, y.message_bytes);
+    EXPECT_EQ(x.cross_machine_bytes, y.cross_machine_bytes);
+    EXPECT_EQ(x.active_vertices, y.active_vertices);
+    EXPECT_EQ(x.wire_messages, y.wire_messages);
+    EXPECT_EQ(x.combined_ratio, y.combined_ratio);
+    EXPECT_EQ(x.compute_seconds, y.compute_seconds);
+    EXPECT_EQ(x.network_seconds, y.network_seconds);
+    EXPECT_EQ(x.disk_stall_seconds, y.disk_stall_seconds);
+    EXPECT_EQ(x.barrier_seconds, y.barrier_seconds);
+    EXPECT_EQ(x.total_seconds, y.total_seconds);
+    EXPECT_EQ(x.max_memory_bytes, y.max_memory_bytes);
+    EXPECT_EQ(x.max_buffered_bytes, y.max_buffered_bytes);
+    EXPECT_EQ(x.max_residual_bytes, y.max_residual_bytes);
+    EXPECT_EQ(x.thrash_multiplier, y.thrash_multiplier);
+    EXPECT_EQ(x.overflow, y.overflow);
+    EXPECT_EQ(x.spilled_bytes, y.spilled_bytes);
+    EXPECT_EQ(x.network_overuse_seconds, y.network_overuse_seconds);
+    EXPECT_EQ(x.disk_overuse_seconds, y.disk_overuse_seconds);
+    EXPECT_EQ(x.disk_io_seconds, y.disk_io_seconds);
+    EXPECT_EQ(x.disk_utilization, y.disk_utilization);
+    EXPECT_EQ(x.io_queue_length, y.io_queue_length);
+    EXPECT_EQ(x.disk_saturated, y.disk_saturated);
   }
 }
+
+/// Delegates every call to an inner program but declares no tag
+/// universe, which keeps the engine off grouped delivery: the run takes
+/// the per-(sender, dest) merge, outbox delivery and receiver-side
+/// GroupInbox — an independent path for grouped delivery to reproduce.
+class UnboundedTagsProgram : public VertexProgram {
+ public:
+  explicit UnboundedTagsProgram(VertexProgram& inner) : inner_(inner) {}
+  explicit UnboundedTagsProgram(std::unique_ptr<VertexProgram> owned)
+      : owned_(std::move(owned)), inner_(*owned_) {}
+
+  void Compute(VertexId v, std::span<const Message> inbox,
+               MessageSink& sink) override {
+    inner_.Compute(v, inbox, sink);
+  }
+  bool UsesComputeRun() const override { return inner_.UsesComputeRun(); }
+  void ComputeRun(VertexId v, const MessageRunView& run,
+                  MessageSink& sink) override {
+    inner_.ComputeRun(v, run, sink);
+  }
+  bool ShouldTerminate(uint64_t rounds_completed) const override {
+    return inner_.ShouldTerminate(rounds_completed);
+  }
+  bool TerminateOnAggregate(double aggregate_sum) const override {
+    return inner_.TerminateOnAggregate(aggregate_sum);
+  }
+  double StateBytes(uint32_t machine) const override {
+    return inner_.StateBytes(machine);
+  }
+  double ResidualBytes(uint32_t machine) const override {
+    return inner_.ResidualBytes(machine);
+  }
+  const Combiner* combiner() const override { return inner_.combiner(); }
+  uint32_t tag_universe() const override { return 0; }
+
+ private:
+  std::unique_ptr<VertexProgram> owned_;
+  VertexProgram& inner_;
+};
 
 struct CombineRunOptions {
   bool combining = false;
   uint32_t threads = 1;
   uint32_t shards = 0;  // 0 = the engine default.
-  bool parallel_grouping = true;
+  uint32_t machines = 4;
+  /// Run the program behind UnboundedTagsProgram (the reference path).
+  bool hide_tag_universe = false;
 };
 
 EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
@@ -135,8 +214,29 @@ EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
   options.clamp_threads_to_hardware = false;
   options.sender_combining = opts.combining;
   options.compute_shards_per_machine = opts.shards;
-  options.parallel_grouping = opts.parallel_grouping;
   return options;
+}
+
+/// Runs `program` on `graph` under `opts`, behind UnboundedTagsProgram
+/// when opts.hide_tag_universe.
+EngineResult RunProgram(const Graph& graph, const Partitioning& part,
+                        VertexProgram& program,
+                        const CombineRunOptions& opts) {
+  SyncEngine engine(graph, part, MakeOptions(opts, part.num_machines));
+  UnboundedTagsProgram hidden(program);
+  auto result = engine.Run(opts.hide_tag_universe
+                               ? static_cast<VertexProgram&>(hidden)
+                               : program);
+  EXPECT_TRUE(result.ok());
+  return result.value_or(EngineResult{});
+}
+
+Graph MakeRmat(uint64_t seed) {
+  RmatParams rmat;
+  rmat.num_vertices = 2000;
+  rmat.num_edges = 12000;
+  rmat.seed = seed;
+  return GenerateRmat(rmat);
 }
 
 /// One MSSP batch (8 sampled sources -> tag universe 8, MinCombiner) on
@@ -144,19 +244,12 @@ EngineOptions MakeOptions(const CombineRunOptions& opts, uint32_t machines) {
 /// distance, so result identity is checked at task-output granularity.
 std::pair<EngineResult, std::vector<uint32_t>> RunMssp(
     const CombineRunOptions& opts) {
-  RmatParams rmat;
-  rmat.num_vertices = 2000;
-  rmat.num_edges = 12000;
-  rmat.seed = 77;
-  static const Graph& graph = *new Graph(GenerateRmat(rmat));
-  static const Partitioning& part =
-      *new Partitioning(HashPartitioner().Partition(graph, 4));
-  SyncEngine engine(graph, part, MakeOptions(opts, 4));
+  static const Graph& graph = *new Graph(MakeRmat(77));
+  const Partitioning part = HashPartitioner().Partition(graph, opts.machines);
   TaskContext context{&graph, &part, 1.0, opts.combining};
   MsspProgram program(context, ProgramFlavor::kPointToPoint,
                       /*workload=*/8.0, MsspTask::Params{}, /*seed=*/5);
-  auto result = engine.Run(program);
-  EXPECT_TRUE(result.ok());
+  EngineResult result = RunProgram(graph, part, program, opts);
   std::vector<uint32_t> distances;
   distances.reserve(static_cast<size_t>(program.num_samples()) *
                     graph.NumVertices());
@@ -165,7 +258,7 @@ std::pair<EngineResult, std::vector<uint32_t>> RunMssp(
       distances.push_back(program.Distance(sample, v));
     }
   }
-  return {result.value_or(EngineResult{}), std::move(distances)};
+  return {result, std::move(distances)};
 }
 
 /// One stochastic BPPR counting batch (SumCombiner over walk counts).
@@ -173,19 +266,48 @@ std::pair<EngineResult, std::vector<uint32_t>> RunMssp(
 /// fold order that leaked into values would move TotalStopped().
 std::pair<EngineResult, uint64_t> RunBpprCounting(
     const CombineRunOptions& opts) {
-  RmatParams rmat;
-  rmat.num_vertices = 2000;
-  rmat.num_edges = 12000;
-  rmat.seed = 41;
-  static const Graph& graph = *new Graph(GenerateRmat(rmat));
-  static const Partitioning& part =
-      *new Partitioning(HashPartitioner().Partition(graph, 4));
-  SyncEngine engine(graph, part, MakeOptions(opts, 4));
+  static const Graph& graph = *new Graph(MakeRmat(41));
+  const Partitioning part = HashPartitioner().Partition(graph, opts.machines);
   TaskContext context{&graph, &part, 1.0, opts.combining};
   BpprCountingProgram program(context, /*walks=*/64, {}, /*seed=*/3);
-  auto result = engine.Run(program);
-  EXPECT_TRUE(result.ok());
-  return {result.value_or(EngineResult{}), program.TotalStopped()};
+  EngineResult result = RunProgram(graph, part, program, opts);
+  return {result, program.TotalStopped()};
+}
+
+/// One BKHS batch (8 sampled sources, k = 2). BKHS implements only
+/// Compute, so its rounds read MaterializedInbox() — under grouped
+/// delivery an AoS view over pre-grouped runs whose inbox target/tag
+/// columns were never written.
+std::pair<EngineResult, std::vector<uint64_t>> RunBkhs(
+    const CombineRunOptions& opts) {
+  static const Graph& graph = *new Graph(MakeRmat(77));
+  const Partitioning part = HashPartitioner().Partition(graph, opts.machines);
+  TaskContext context{&graph, &part, 1.0, opts.combining};
+  BkhsProgram program(context, ProgramFlavor::kPointToPoint,
+                      /*workload=*/8.0, BkhsTask::Params{}, /*seed=*/9);
+  EngineResult result = RunProgram(graph, part, program, opts);
+  std::vector<uint64_t> counts;
+  for (uint32_t sample = 0; sample < program.num_samples(); ++sample) {
+    counts.push_back(program.KHopCount(sample));
+  }
+  return {result, std::move(counts)};
+}
+
+/// Ten PageRank power iterations. Rank shares are non-integer, so the
+/// per-run left-to-right sum observes the order of a run's messages: a
+/// grouping that was not stable by arrival would move ranks' last bits.
+std::pair<EngineResult, std::vector<double>> RunPageRank(
+    const CombineRunOptions& opts) {
+  static const Graph& graph = *new Graph(MakeRmat(41));
+  const Partitioning part = HashPartitioner().Partition(graph, opts.machines);
+  TaskContext context{&graph, &part, 1.0, opts.combining};
+  PageRankProgram program(context, {.iterations = 10});
+  EngineResult result = RunProgram(graph, part, program, opts);
+  std::vector<double> ranks;
+  for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+    ranks.push_back(program.Rank(v));
+  }
+  return {result, std::move(ranks)};
 }
 
 TEST(SenderCombiningTest, MsspResultsIdenticalWithAndWithoutCombining) {
@@ -209,35 +331,29 @@ TEST(SenderCombiningTest, MsspCombinedRunBitIdenticalAcrossThreads) {
   for (uint32_t threads : {2u, 8u}) {
     auto [threaded, threaded_dist] =
         RunMssp({.combining = true, .threads = threads});
-    ExpectRunsBitIdentical(serial, threaded);
+    ExpectRunsFullyEqual(serial, threaded);
     EXPECT_EQ(serial_dist, threaded_dist);
   }
 }
 
 /// Runs `run` (returning {EngineResult, task output}) with combining on
-/// across shard counts, thread counts and the parallel_grouping toggle,
-/// and requires every run to match the single-shard serial one bit for
-/// bit. Shards cut each machine's emission stream into per-shard arenas
-/// that the combine fold concatenates in shard order, so the shard count
-/// must never reach a folded value or a wire count.
+/// across shard and thread counts, and requires every run to match the
+/// single-shard serial one bit for bit. Shards cut each machine's
+/// emission stream into per-shard arenas that the combine fold
+/// concatenates in shard order, so the shard count must never reach a
+/// folded value or a wire count.
 template <typename RunFn>
 void ExpectCombinedRunsInvariantToShardsAndThreads(RunFn run) {
   auto [base, base_output] =
       run(CombineRunOptions{.combining = true, .threads = 1, .shards = 1});
   for (uint32_t shards : {1u, 3u, 16u, 64u}) {
     for (uint32_t threads : {1u, 8u}) {
-      for (bool par_group : {false, true}) {
-        SCOPED_TRACE(testing::Message()
-                     << "shards=" << shards << " threads=" << threads
-                     << " parallel_grouping=" << par_group);
-        auto [other, output] = run(CombineRunOptions{
-            .combining = true,
-            .threads = threads,
-            .shards = shards,
-            .parallel_grouping = par_group});
-        ExpectRunsBitIdentical(base, other);
-        EXPECT_EQ(base_output, output);
-      }
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      auto [other, output] = run(CombineRunOptions{
+          .combining = true, .threads = threads, .shards = shards});
+      ExpectRunsFullyEqual(base, other);
+      EXPECT_EQ(base_output, output);
     }
   }
 }
@@ -263,12 +379,176 @@ TEST(SenderCombiningTest, StochasticWalkCountsSurviveCombining) {
   }
 }
 
+// --- Grouped delivery with combining off ------------------------------
+
+/// With combining off, runs `run` through grouped delivery across
+/// threads {1, 2, 8} x shards {1, 3, 16, 64} and requires each to equal
+/// the universe-hidden reference (merge -> deliver -> GroupInbox) in task
+/// output, every RoundStats field and every EngineResult total.
+template <typename RunFn>
+void ExpectGroupedDeliveryMatchesReference(RunFn run, uint32_t machines) {
+  auto [reference, reference_output] = run(CombineRunOptions{
+      .threads = 1, .machines = machines, .hide_tag_universe = true});
+  ASSERT_GT(reference.num_rounds, 1u);
+  for (uint32_t threads : {1u, 2u, 8u}) {
+    for (uint32_t shards : {1u, 3u, 16u, 64u}) {
+      SCOPED_TRACE(testing::Message() << "machines=" << machines
+                                      << " threads=" << threads
+                                      << " shards=" << shards);
+      auto [grouped, output] = run(CombineRunOptions{
+          .threads = threads, .shards = shards, .machines = machines});
+      ExpectRunsFullyEqual(reference, grouped);
+      EXPECT_EQ(reference_output, output);
+    }
+  }
+}
+
+TEST(GroupedDeliveryTest, MsspMatchesReceiverGroupedReference) {
+  ExpectGroupedDeliveryMatchesReference(RunMssp, 4);
+}
+
+TEST(GroupedDeliveryTest, BpprCountingMatchesReceiverGroupedReference) {
+  ExpectGroupedDeliveryMatchesReference(RunBpprCounting, 4);
+}
+
+TEST(GroupedDeliveryTest, PageRankMatchesReceiverGroupedReference) {
+  ExpectGroupedDeliveryMatchesReference(RunPageRank, 4);
+}
+
+TEST(GroupedDeliveryTest, BkhsMatchesReceiverGroupedReference) {
+  ExpectGroupedDeliveryMatchesReference(RunBkhs, 4);
+}
+
+TEST(GroupedDeliveryTest, SingleMachineClusterMatchesReference) {
+  // One machine: every message is local and the reference delivers by
+  // swapping the lone outbox, which grouped delivery must still match.
+  ExpectGroupedDeliveryMatchesReference(RunMssp, 1);
+  ExpectGroupedDeliveryMatchesReference(RunBkhs, 1);
+}
+
+/// Sends nothing at all: the seeding superstep is an empty round.
+class SilentProgram : public VertexProgram {
+ public:
+  void Compute(VertexId v, std::span<const Message> inbox,
+               MessageSink& sink) override {
+    (void)inbox;
+    sink.AddComputeUnits(static_cast<double>(v % 3));
+  }
+  uint32_t tag_universe() const override { return 1; }
+};
+
+TEST(GroupedDeliveryTest, EmptyRoundMatchesReference) {
+  const Graph graph = MakeRmat(77);
+  const Partitioning part = HashPartitioner().Partition(graph, 4);
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    SilentProgram grouped_program;
+    SilentProgram reference_program;
+    const EngineResult grouped =
+        RunProgram(graph, part, grouped_program, {.threads = threads});
+    const EngineResult reference = RunProgram(
+        graph, part, reference_program,
+        {.threads = threads, .hide_tag_universe = true});
+    EXPECT_EQ(grouped.num_rounds, 1u);
+    EXPECT_EQ(grouped.total_messages, 0.0);
+    ExpectRunsFullyEqual(reference, grouped);
+  }
+}
+
+/// MultiTask wrapper whose programs hide their tag universe, so a
+/// ConcurrentRunner query runs the reference path end to end.
+class UnboundedTagsTask : public MultiTask {
+ public:
+  explicit UnboundedTagsTask(std::unique_ptr<MultiTask> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Result<std::unique_ptr<VertexProgram>> MakeProgram(
+      const TaskContext& context, ProgramFlavor flavor, double workload,
+      uint64_t seed) const override {
+    VCMP_ASSIGN_OR_RETURN(std::unique_ptr<VertexProgram> program,
+                          inner_->MakeProgram(context, flavor, workload,
+                                              seed));
+    return std::unique_ptr<VertexProgram>(
+        std::make_unique<UnboundedTagsProgram>(std::move(program)));
+  }
+  double MinBatchWorkload() const override {
+    return inner_->MinBatchWorkload();
+  }
+
+ private:
+  std::unique_ptr<MultiTask> inner_;
+};
+
+TEST(GroupedDeliveryTest, ConcurrentRunnerMatchesReference) {
+  // K = 2 queries in flight on a shared pool, one query per benchmark
+  // task: every batch of every query must equal the reference run.
+  const Dataset dataset =
+      LoadDataset(DatasetId::kDblp, /*scale_override=*/512.0);
+  auto run = [&](bool hide_tag_universe) {
+    std::vector<std::unique_ptr<MultiTask>> tasks;
+    std::vector<ConcurrentQuery> queries;
+    for (const std::string& name : BenchmarkTaskNames()) {
+      auto task = MakeTask(name);
+      EXPECT_TRUE(task.ok());
+      std::unique_ptr<MultiTask> owned = std::move(task.value());
+      if (hide_tag_universe) {
+        owned = std::make_unique<UnboundedTagsTask>(std::move(owned));
+      }
+      tasks.push_back(std::move(owned));
+      ConcurrentQuery query;
+      query.task = tasks.back().get();
+      query.schedule = BatchSchedule::Equal(/*workload=*/128.0, 2);
+      queries.push_back(std::move(query));
+    }
+    ConcurrentRunnerOptions options;
+    options.base.cluster = RelaxedCluster(4);
+    options.base.system = SystemKind::kPregelPlus;
+    options.base.seed = 7;
+    options.base.execution_threads = 4;
+    options.base.clamp_threads_to_hardware = false;
+    options.concurrency = 2;
+    ConcurrentRunner runner(dataset, options);
+    auto report = runner.Run(queries);
+    EXPECT_TRUE(report.ok());
+    return std::move(report.value());
+  };
+  const ConcurrentRunReport grouped = run(false);
+  const ConcurrentRunReport reference = run(true);
+  ASSERT_EQ(grouped.queries.size(), reference.queries.size());
+  EXPECT_EQ(grouped.queries_failed, 0u);
+  for (size_t q = 0; q < grouped.queries.size(); ++q) {
+    SCOPED_TRACE(testing::Message() << "query " << q);
+    ASSERT_TRUE(grouped.queries[q].status.ok());
+    ASSERT_TRUE(reference.queries[q].status.ok());
+    const RunReport& a = grouped.queries[q].report;
+    const RunReport& b = reference.queries[q].report;
+    ASSERT_EQ(a.batches.size(), b.batches.size());
+    for (size_t i = 0; i < a.batches.size(); ++i) {
+      EXPECT_EQ(a.batches[i].seconds, b.batches[i].seconds);
+      EXPECT_EQ(a.batches[i].rounds, b.batches[i].rounds);
+      EXPECT_EQ(a.batches[i].messages, b.batches[i].messages);
+      EXPECT_EQ(a.batches[i].peak_memory_bytes,
+                b.batches[i].peak_memory_bytes);
+      EXPECT_EQ(a.batches[i].peak_residual_bytes,
+                b.batches[i].peak_residual_bytes);
+      EXPECT_EQ(a.batches[i].peak_buffered_bytes,
+                b.batches[i].peak_buffered_bytes);
+      EXPECT_EQ(a.batches[i].network_overuse_seconds,
+                b.batches[i].network_overuse_seconds);
+    }
+    EXPECT_EQ(a.total_seconds, b.total_seconds);
+    EXPECT_EQ(a.total_messages, b.total_messages);
+  }
+  EXPECT_EQ(grouped.total_simulated_seconds,
+            reference.total_simulated_seconds);
+}
+
 // --- The dense-slot gate ---------------------------------------------
 
 /// Multi-source hop flood: tag t floods from source vertex t for up to
-/// kMaxHops hops, min-combining hop counts. combine_tag_universe() is
-/// exactly the tag count, so the caller controls the largest
-/// destination's (local vertices x tags) slot space.
+/// kMaxHops hops, min-combining hop counts. tag_universe() is exactly
+/// the tag count, so the caller controls the largest destination's
+/// (local vertices x tags) slot space.
 class HopFloodProgram : public VertexProgram {
  public:
   HopFloodProgram(const Graph& graph, uint32_t tags)
@@ -295,7 +575,7 @@ class HopFloodProgram : public VertexProgram {
   }
 
   const Combiner* combiner() const override { return &combiner_; }
-  uint32_t combine_tag_universe() const override { return tags_; }
+  uint32_t tag_universe() const override { return tags_; }
   const std::vector<uint32_t>& hops() const { return hops_; }
 
  private:
@@ -315,37 +595,52 @@ class HopFloodProgram : public VertexProgram {
   std::vector<uint32_t> hops_;  // tag-major, one entry per (tag, vertex).
 };
 
-TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
-  // Machine 0 owns exactly 4096 vertices and machine 1 fewer, so 32 tags
-  // put the largest destination at exactly 2^17 slots (the most the
-  // dense fold accepts: this run takes the unified fold) and 33 tags one
-  // tag past it (the CombineIndex merge path). Both paths must reproduce
-  // the uncombined run's results and logical traffic.
-  constexpr VertexId kLargestMachine = 4096;
-  ErdosRenyiParams params;
-  params.num_vertices = 7000;
-  params.num_edges = 21000;
-  params.seed = 19;
-  const Graph graph = GenerateErdosRenyi(params);
+/// Machine 0 owns exactly 4096 vertices and machine 1 fewer, so 32 tags
+/// put the largest destination at exactly 2^17 slots — the most the
+/// dense passes accept — and 33 tags one tag past it.
+constexpr VertexId kGateLargestMachine = 4096;
+
+const Graph& GateGraph() {
+  static const Graph& graph = *new Graph([] {
+    ErdosRenyiParams params;
+    params.num_vertices = 7000;
+    params.num_edges = 21000;
+    params.seed = 19;
+    return GenerateErdosRenyi(params);
+  }());
+  return graph;
+}
+
+Partitioning GatePartition(const Graph& graph) {
   Partitioning part;
   part.num_machines = 2;
   part.assignment.resize(graph.NumVertices());
   for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-    part.assignment[v] = v < kLargestMachine ? 0 : 1;
+    part.assignment[v] = v < kGateLargestMachine ? 0 : 1;
   }
+  return part;
+}
+
+/// One hop flood with `tags` tags on the gate graph.
+std::pair<EngineResult, std::vector<uint32_t>> RunHopFlood(
+    uint32_t tags, const CombineRunOptions& opts) {
+  const Graph& graph = GateGraph();
+  const Partitioning part = GatePartition(graph);
+  HopFloodProgram program(graph, tags);
+  EngineResult result = RunProgram(graph, part, program, opts);
+  return {result, program.hops()};
+}
+
+TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
+  // At 32 tags the combined run takes the combining fold, at 33 the
+  // CombineIndex merge. Both must reproduce the universe-hidden
+  // uncombined run (merge -> deliver -> GroupInbox), which stays an
+  // independent path on both sides of the gate.
   for (uint32_t tags : {32u, 33u}) {
     SCOPED_TRACE(testing::Message() << "tags=" << tags);
-    auto run = [&](bool combining) {
-      SyncEngine engine(graph, part,
-                        MakeOptions({.combining = combining, .threads = 2},
-                                    part.num_machines));
-      HopFloodProgram program(graph, tags);
-      auto result = engine.Run(program);
-      EXPECT_TRUE(result.ok());
-      return std::pair(result.value_or(EngineResult{}), program.hops());
-    };
-    auto [off, off_hops] = run(false);
-    auto [on, on_hops] = run(true);
+    auto [off, off_hops] = RunHopFlood(
+        tags, {.combining = false, .threads = 2, .hide_tag_universe = true});
+    auto [on, on_hops] = RunHopFlood(tags, {.combining = true, .threads = 2});
     EXPECT_EQ(off_hops, on_hops);
     EXPECT_EQ(off.num_rounds, on.num_rounds);
     EXPECT_EQ(off.total_messages, on.total_messages);
@@ -359,139 +654,18 @@ TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
   }
 }
 
-// --- Serial vs parallel grouping, all four strategies -----------------
-
-std::vector<Message> RandomInbox(size_t size, uint32_t num_targets,
-                                 uint32_t num_tags, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Message> inbox;
-  inbox.reserve(size);
-  for (size_t i = 0; i < size; ++i) {
-    inbox.push_back(
-        Message{static_cast<VertexId>(rng.NextBounded(num_targets)),
-                static_cast<uint32_t>(rng.NextBounded(num_tags)),
-                static_cast<double>(i), 1.0});
-  }
-  return inbox;
-}
-
-void FillWorker(Worker& worker, const std::vector<Message>& inbox,
-                VertexId vertex_space) {
-  worker.Reset(1);
-  if (vertex_space > 0) worker.set_vertex_space(vertex_space);
-  for (const Message& message : inbox) worker.inbox().PushBack(message);
-}
-
-void ExpectGroupedEqual(const Worker& serial, const Worker& parallel) {
-  const std::span<const MessageRun> a = serial.runs();
-  const std::span<const MessageRun> b = parallel.runs();
-  ASSERT_EQ(a.size(), b.size());
-  size_t total = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].target, b[i].target) << "run " << i;
-    EXPECT_EQ(a[i].tag, b[i].tag) << "run " << i;
-    EXPECT_EQ(a[i].begin, b[i].begin) << "run " << i;
-    EXPECT_EQ(a[i].end, b[i].end) << "run " << i;
-    total = a[i].end;
-  }
-  for (size_t i = 0; i < total; ++i) {
-    EXPECT_EQ(serial.grouped_values()[i], parallel.grouped_values()[i])
-        << "element " << i;
-    EXPECT_EQ(serial.grouped_multiplicities()[i],
-              parallel.grouped_multiplicities()[i])
-        << "element " << i;
-  }
-}
-
-/// Groups `inbox` once serially and once through the pool-wide pass
-/// driver; the outputs must match bitwise, with and without stealable
-/// chunk tasks.
-void ExpectParallelGroupingMatchesSerial(const std::vector<Message>& inbox,
-                                         VertexId vertex_space) {
-  Worker serial;
-  FillWorker(serial, inbox, vertex_space);
-  serial.GroupInbox();
-  ThreadPool pool(3);
-  for (bool steal : {false, true}) {
-    std::vector<Worker> workers(1);
-    FillWorker(workers[0], inbox, vertex_space);
-    ParallelGroupInboxes(pool, std::span<Worker>(workers), steal,
-                         /*collect_timing=*/false);
-    ExpectGroupedEqual(serial, workers[0]);
-  }
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSortedInbox) {
-  // Ascending distinct (target, tag) keys — the shape the unified
-  // combine path emits — must take the sorted fast path identically.
-  std::vector<Message> inbox;
-  for (uint32_t target = 0; target < 5000; ++target) {
-    for (uint32_t tag = 0; tag < 4; ++tag) {
-      inbox.push_back(Message{target, tag,
-                              static_cast<double>(inbox.size()), 2.0});
-    }
-  }
-  ExpectParallelGroupingMatchesSerial(inbox, /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSmallInbox) {
-  // Below the comparison-sort cutoff; the parallel driver finishes these
-  // inboxes serially inside its begin pass.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(40, /*num_targets=*/16, /*num_tags=*/3, /*seed=*/9),
-      /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnDenseSingleTagInbox) {
-  // Single tag and n >= vertex space: the dense counting strategy.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(20000, /*num_targets=*/1000, /*num_tags=*/1,
-                  /*seed=*/11),
-      /*vertex_space=*/1000);
-}
-
-TEST(ParallelGroupingTest, MatchesSerialOnSparseMultiTagInbox) {
-  // Many targets, several tags, no usable vertex space: the radix
-  // pair-sort strategy, large enough to cross the parallel threshold.
-  ExpectParallelGroupingMatchesSerial(
-      RandomInbox(20000, /*num_targets=*/60000, /*num_tags=*/16,
-                  /*seed=*/13),
-      /*vertex_space=*/0);
-}
-
-TEST(ParallelGroupingTest, MixedStrategyMachinesGroupInLockstep) {
-  // One worker per strategy in a single pool-wide call, as the engine
-  // issues it: each machine may pick a different strategy, and every
-  // output must still match its own serial grouping.
-  struct Shape {
-    std::vector<Message> inbox;
-    VertexId vertex_space;
-  };
-  std::vector<Shape> shapes;
-  shapes.push_back({RandomInbox(40, 16, 3, 21), 0});
-  shapes.push_back({RandomInbox(20000, 1000, 1, 22), 1000});
-  shapes.push_back({RandomInbox(20000, 60000, 16, 23), 0});
-  std::vector<Message> sorted;
-  for (uint32_t target = 0; target < 9000; ++target) {
-    sorted.push_back(Message{target, 0,
-                             static_cast<double>(target), 1.0});
-  }
-  shapes.push_back({std::move(sorted), 0});
-
-  std::vector<Worker> expected(shapes.size());
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    FillWorker(expected[i], shapes[i].inbox, shapes[i].vertex_space);
-    expected[i].GroupInbox();
-  }
-  ThreadPool pool(3);
-  std::vector<Worker> workers(shapes.size());
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    FillWorker(workers[i], shapes[i].inbox, shapes[i].vertex_space);
-  }
-  ParallelGroupInboxes(pool, std::span<Worker>(workers), /*steal=*/true,
-                       /*collect_timing=*/false);
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    ExpectGroupedEqual(expected[i], workers[i]);
+TEST(GroupedDeliveryTest, GateBoundaryMatchesReference) {
+  // Combining off: at 32 tags the largest destination sits exactly at
+  // the slot limit and takes grouped delivery; at 33 tags it falls back
+  // to receiver-side radix grouping. Both equal the universe-hidden run.
+  for (uint32_t tags : {32u, 33u}) {
+    SCOPED_TRACE(testing::Message() << "tags=" << tags);
+    auto [reference, reference_hops] =
+        RunHopFlood(tags, {.threads = 2, .hide_tag_universe = true});
+    auto [run, hops] = RunHopFlood(tags, {.threads = 2});
+    ASSERT_GT(reference.num_rounds, 1u);
+    EXPECT_EQ(reference_hops, hops);
+    ExpectRunsFullyEqual(reference, run);
   }
 }
 

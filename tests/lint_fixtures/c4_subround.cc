@@ -8,8 +8,8 @@
 // variants share a histogram, a scatter cursor, or a fold table across
 // tasks; the sanctioned variants bind a reference through the loop
 // index first (per-chunk slab rows, per-destination tables), exactly
-// how Worker::GroupHistChunk / GroupScatterChunk and the engine's
-// unified fold stay deterministic. Linted under a synthetic
+// how the engine's per-destination inbox builders (fold_dest) stay
+// deterministic. Linted under a synthetic
 // src/engine/ path by lint_flow_test.cc.
 
 #include <cstdint>
