@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/wall_clock.h"
-#include "obs/shard_spans.h"
 #include "obs/tracer.h"
 #include "ooc/ooc_runtime.h"
 
@@ -24,11 +23,11 @@ namespace {
 constexpr uint32_t kDefaultShardsPerMachine = 16;
 
 /// Largest (local vertices x tag universe) slot space a destination may
-/// have for the direct-indexed passes (grouped delivery and the dense
-/// merge tables); larger spaces fall back to hash probing and grouping at
-/// the receiver. 2^17 slots keep one destination's hot per-slot array
-/// around a megabyte or less — L2-resident on anything current — while
-/// covering every benchmark task's per-machine share.
+/// have for grouped delivery's direct-indexed slot table; larger spaces
+/// fall back to the per-pair merge and grouping at the receiver. 2^17
+/// slots keep one destination's hot per-slot array around a megabyte or
+/// less — L2-resident on anything current — while covering every
+/// benchmark task's per-machine share.
 constexpr size_t kMaxDenseSlots = size_t{1} << 17;
 
 }  // namespace
@@ -126,34 +125,6 @@ struct SyncEngine::MergeSlot {
   uint64_t merge_ns = 0;
 
   void Clear() { *this = MergeSlot{}; }
-};
-
-/// Direct-indexed replacement for the merge fold's CombineIndex, usable
-/// when the program declares a bounded tag universe: slot
-/// local_index(target) * tags + tag maps each live (target, tag) key to
-/// its outbox position with one array read instead of a hash probe.
-/// First-touch still appends to the outbox, so outbox bytes are identical
-/// to the hash path's at every shard and thread count. Epoch tagging makes
-/// Clear O(1); tables are cleared once per round after delivery drains the
-/// outboxes, exactly when the per-worker CombineIndexes are.
-struct SyncEngine::DenseCombineTable {
-  std::vector<uint32_t> position;  // slot -> outbox position
-  std::vector<uint32_t> epoch;     // valid iff == cur_epoch
-  uint32_t cur_epoch = 1;
-
-  void EnsureSlots(size_t slots) {
-    if (position.size() < slots) {
-      position.resize(slots);
-      epoch.resize(slots, 0);
-    }
-  }
-  void Clear() {
-    ++cur_epoch;
-    if (cur_epoch == 0) {  // Wrapped: stale epochs could alias; rezero.
-      std::fill(epoch.begin(), epoch.end(), 0u);
-      cur_epoch = 1;
-    }
-  }
 };
 
 /// Per-destination slot table for grouped delivery (in-memory runs
@@ -404,10 +375,6 @@ class SyncEngine::ShardSink : public MessageSink {
 struct SyncEngine::RunScratch : QueryContext::Scratch {
   std::vector<Worker> workers;
   std::vector<std::unique_ptr<ShardSink>> shard_sinks;
-  /// machines x machines dense merge tables (sender-major), sized lazily
-  /// to the destination's (local vertices x tag universe) slot space.
-  /// Only combining runs outside grouped delivery use them.
-  std::vector<DenseCombineTable> dense_combine;
   /// One slot table per destination for grouped delivery. Empty when
   /// that path is inactive.
   std::vector<DestSlotTable> dest_slots;
@@ -516,25 +483,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   scratch.workers.resize(machines);
   std::vector<Worker>& workers = scratch.workers;
   const bool collect_times = options_.collect_phase_times;
-  // The combiner is active when the simulated system combines (GraphLab
-  // sync) OR the engine-level sender_combining switch exploits the
-  // program's combiner under a non-combining profile (Pregel-style).
-  // Mirror profiles keep their own wire-dedup path. `combining` below is
-  // the one flag every stats/cost branch keys on, so combined counts
-  // flow into RoundLoad, spill accounting and the batcher's fits
-  // regardless of which switch enabled it.
-  const Combiner* combiner =
-      (options_.profile.combines_messages ||
-       (options_.sender_combining && !options_.profile.mirroring))
-          ? program.combiner()
-          : nullptr;
-  const bool combining = combiner != nullptr;
   // A bounded tag universe (VertexProgram::tag_universe) numbers every
   // (target, tag) key a destination can receive with the dense slot
   // local_index(target) * tags + tag. One gate on the largest
-  // destination's slot space admits the direct-indexed passes below;
-  // unbounded or oversized universes keep hash probing and grouping at
-  // the receiver.
+  // destination's slot space admits grouped delivery; unbounded or
+  // oversized universes group at the receiver.
   const uint32_t tag_universe = program.tag_universe();
   std::vector<size_t> dense_slots(machines, 0);
   bool slots_fit = false;
@@ -547,33 +500,41 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
     slots_fit = max_slots > 0 && max_slots <= kMaxDenseSlots;
   }
-  // Grouped delivery: in-memory runs inside the gate build each
-  // destination's next inbox in one per-destination pass straight from
-  // the senders' shard arenas (fold_dest below) — folded to one element
-  // per key under engine-level combining, counting-sorted otherwise — so
-  // merge, delivery and next round's GroupInbox collapse into that pass.
-  // The rest group at the receiver: real OOC runs (the resident cap cuts
-  // the sender-major concatenation), mirror profiles (broadcast hops
-  // carry vertex ids and cross weights), profile-level combining
-  // (GraphLab et al., whose per-pair outbox bytes the goldens pin) and
-  // custom combiners (whose Merge may read the target).
+  // Grouped delivery: in-memory, unmirrored runs inside the gate build
+  // each destination's next inbox in one per-destination pass straight
+  // from the senders' shard arenas (fold_dest below), so merge, delivery
+  // and next round's GroupInbox collapse into that pass. The rest group
+  // at the receiver: real OOC runs (the resident cap cuts the
+  // sender-major concatenation), mirror profiles (broadcast hops carry
+  // vertex ids and cross weights) and profile-level combining.
+  const bool in_gate =
+      slots_fit && rt == nullptr && !options_.profile.mirroring;
+  // The combiner is active when the simulated system combines (GraphLab
+  // sync: the per-(sender, dest) merge, whose outbox bytes the goldens
+  // pin) or when the engine-level sender_combining switch can fold the
+  // program's sum/min combiner inside grouped delivery — the one place
+  // the fold performs exactly the receiver's FP operation sequence, so
+  // task results stay bit-identical. Elsewhere the switch is ignored.
+  // `combining` is the one flag every stats/cost branch keys on.
+  const Combiner* const program_combiner = program.combiner();
+  const Combiner* combiner = nullptr;
+  if (options_.profile.combines_messages) {
+    combiner = program_combiner;
+  } else if (options_.sender_combining && in_gate &&
+             program_combiner != nullptr &&
+             program_combiner->kind() != CombinerKind::kCustom) {
+    combiner = program_combiner;
+  }
+  const bool combining = combiner != nullptr;
   const bool grouped_delivery =
-      slots_fit && rt == nullptr && !options_.profile.mirroring &&
-      (!combining || (!options_.profile.combines_messages &&
-                      combiner->kind() != CombinerKind::kCustom));
+      in_gate && !(combining && options_.profile.combines_messages);
   // Under grouped delivery with combining the inbox arrives pre-folded:
   // one element per key instead of one per wire unit.
   const bool prefolded = grouped_delivery && combining;
-  // Combining outside grouped delivery still direct-indexes the
-  // per-(sender, dest) merge fold when the slot space fits.
-  const bool dense_combine = combining && slots_fit && !grouped_delivery;
-  scratch.dense_combine.resize(
-      dense_combine ? static_cast<size_t>(machines) * machines : 0);
   scratch.dest_slots.resize(grouped_delivery ? machines : 0);
   for (Worker& worker : workers) {
     worker.Reset(machines);
     worker.set_collect_timing(collect_times);
-    worker.SetCombiner(combiner);
     worker.set_vertex_space(graph_.NumVertices());
   }
 
@@ -612,16 +573,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     owned_pool = std::make_unique<ThreadPool>(thread_count - 1);
   }
   ThreadPool& pool = ctx.pool != nullptr ? *ctx.pool : *owned_pool;
-  const bool steal = options_.enable_work_stealing;
-  auto parallel_shards = [&pool, steal](
-                             uint32_t count,
-                             const std::function<void(uint32_t)>& fn) {
-    if (steal) {
-      pool.ParallelForStealable(count, fn);
-    } else {
-      pool.ParallelFor(count, fn);
-    }
-  };
 
   EngineResult result;
   const double scale = options_.stat_scale;
@@ -635,13 +586,6 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
   std::vector<uint8_t> machine_aggregate_used(machines, 0);
   std::vector<double> machine_residual_round(machines, 0.0);
   std::vector<double> residual_ledger(machines, 0.0);
-  std::vector<double> shard_weights;  // trace_shard_spans only.
-  // Parallel delivery scratch: per-(sender, dest) slice offsets into the
-  // destination inbox, and a per-dest flag marking destinations whose
-  // copy work was deferred to the sub-machine pass.
-  std::vector<size_t> deliver_offsets(static_cast<size_t>(machines) *
-                                      machines);
-  std::vector<uint8_t> deliver_copy(machines, 0);
   // Pre-folded inboxes only: wire units folded into each machine's inbox
   // last round (the per-pair path would have delivered this many outbox
   // elements). Read by the NEXT round's receive fold, since the
@@ -811,7 +755,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         }
       }
     };
-    parallel_shards(num_shard_tasks, run_shard);
+    pool.ParallelForStealable(num_shard_tasks, run_shard);
 
     // --- Phase C: canonical merge into worker outboxes (or grouped
     // delivery straight into next round's inboxes, see fold_dest) ---
@@ -832,51 +776,20 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
       double logical_in = 0.0;
       if (combiner != nullptr) {
         // Per-message fold through the sender's combining index, counting
-        // created keys (integer wire units).
-        const CombinerKind kind = worker.combiner_kind();
+        // created keys (integer wire units): first touch of a (target,
+        // tag) key appends to the outbox; repeats fold in place.
+        const CombinerKind kind = combiner->kind();
+        CombineIndex& index = worker.combine_index(dest);
         double new_keys = 0.0;
         double wire_in = 0.0;
         // One amortized reservation sized by the arenas (an upper bound:
         // folds only shrink the outbox) replaces the per-PushBack growth
-        // doublings that dominated stage time under contention.
+        // doublings.
         size_t arena_total = 0;
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           arena_total += shard_sinks[first_task + shard]->arena(dest).size();
         }
         outbox.Reserve(outbox.size() + arena_total);
-        // The fold itself: first touch of a (target, tag) key appends to
-        // the outbox; repeats fold in place. The dense variant performs
-        // the identical appends and folds in the identical order — only
-        // the key lookup differs — so the two paths produce the same
-        // outbox bytes and the same counts.
-        const auto fold = [&](VertexId target, uint32_t tag, double value,
-                              double mult, size_t position, bool inserted) {
-          if (inserted) {
-            outbox.PushBack(target, tag, value, mult);
-            new_keys += 1.0;
-            if (dest != sender) wire_in += 1.0;
-          } else {
-            switch (kind) {
-              case CombinerKind::kSum:
-                outbox.values()[position] += value;
-                outbox.multiplicities()[position] += mult;
-                break;
-              case CombinerKind::kMin:
-                if (value < outbox.values()[position]) {
-                  outbox.values()[position] = value;
-                }
-                outbox.multiplicities()[position] += mult;
-                break;
-              case CombinerKind::kCustom: {
-                Message into = outbox.At(position);
-                combiner->Merge(into, Message{target, tag, value, mult});
-                outbox.Set(position, into);
-                break;
-              }
-            }
-          }
-          if (dest != sender) logical_in += mult;
-        };
         for (uint32_t shard = 0; shard < shards_per_machine; ++shard) {
           const MessageBlock& arena =
               shard_sinks[first_task + shard]->arena(dest);
@@ -885,37 +798,38 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
           const double* values = arena.values();
           const double* mults = arena.multiplicities();
           const size_t n = arena.size();
-          if (dense_combine) {
-            // Direct-indexed lookup: one array read per message instead
-            // of a hash probe chain.
-            DenseCombineTable& table = scratch.dense_combine[pair];
-            table.EnsureSlots(dense_slots[dest]);
-            for (size_t i = 0; i < n; ++i) {
-              assert(tags[i] < tag_universe &&
-                     "program sent a tag outside its declared universe");
-              const size_t key_slot =
-                  static_cast<size_t>(local_index_[targets[i]]) *
-                      tag_universe +
-                  tags[i];
-              const bool inserted = table.epoch[key_slot] != table.cur_epoch;
-              if (inserted) {
-                table.epoch[key_slot] = table.cur_epoch;
-                table.position[key_slot] =
-                    static_cast<uint32_t>(outbox.size());
-              }
-              fold(targets[i], tags[i], values[i], mults[i],
-                   table.position[key_slot], inserted);
+          for (size_t i = 0; i < n; ++i) {
+            bool inserted = false;
+            const uint64_t key =
+                (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
+            const size_t position =
+                index.FindOrInsert(key, outbox.size(), &inserted);
+            if (dest != sender) logical_in += mults[i];
+            if (inserted) {
+              outbox.PushBack(targets[i], tags[i], values[i], mults[i]);
+              new_keys += 1.0;
+              if (dest != sender) wire_in += 1.0;
+              continue;
             }
-          } else {
-            CombineIndex& index = worker.combine_index(dest);
-            for (size_t i = 0; i < n; ++i) {
-              bool inserted = false;
-              const uint64_t key =
-                  (static_cast<uint64_t>(targets[i]) << 32) | tags[i];
-              const size_t position =
-                  index.FindOrInsert(key, outbox.size(), &inserted);
-              fold(targets[i], tags[i], values[i], mults[i], position,
-                   inserted);
+            switch (kind) {
+              case CombinerKind::kSum:
+                outbox.values()[position] += values[i];
+                outbox.multiplicities()[position] += mults[i];
+                break;
+              case CombinerKind::kMin:
+                if (values[i] < outbox.values()[position]) {
+                  outbox.values()[position] = values[i];
+                }
+                outbox.multiplicities()[position] += mults[i];
+                break;
+              case CombinerKind::kCustom: {
+                Message into = outbox.At(position);
+                combiner->Merge(into,
+                                Message{targets[i], tags[i], values[i],
+                                        mults[i]});
+                outbox.Set(position, into);
+                break;
+              }
             }
           }
         }
@@ -1087,7 +1001,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             }
           });
         };
-        if (workers[dest].combiner_kind() == CombinerKind::kMin) {
+        if (combiner->kind() == CombinerKind::kMin) {
           fold_arenas(std::numeric_limits<double>::infinity(),
                       [](double base, double value) {
                         return value < base ? value : base;
@@ -1183,7 +1097,7 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     if (grouped_delivery) {
       pool.ParallelFor(machines, fold_dest);
     } else {
-      parallel_shards(machines * machines, merge_pair);
+      pool.ParallelForStealable(machines * machines, merge_pair);
     }
 
     // --- Phase D: fold per-vertex logs in vertex order ---
@@ -1456,32 +1370,11 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
         t = std::min(t + duration, t_end);
         tracer->End(trace_track, t);
       };
-      // The compute child optionally nests one span per (machine, shard),
-      // sized by the shard's staged messages — the same integer weights
-      // at every thread count, so the subdivision is deterministic too.
-      tracer->Begin(trace_track, "compute", t,
-                    {{"max_compute_seconds", stats.compute_seconds},
-                     {"network_stall_seconds", stats.network_seconds},
-                     {"disk_stall_seconds", stats.disk_stall_seconds},
-                     {"thrash_multiplier", stats.thrash_multiplier}});
-      {
-        const double compute_end = std::min(t + work, t_end);
-        if (options_.trace_shard_spans) {
-          shard_weights.assign(num_shard_tasks, 0.0);
-          for (uint32_t task = 0; task < num_shard_tasks; ++task) {
-            double staged = 0.0;
-            for (uint32_t dest = 0; dest < machines; ++dest) {
-              staged +=
-                  static_cast<double>(shard_sinks[task]->arena(dest).size());
-            }
-            shard_weights[task] = staged;
-          }
-          obs::EmitShardSpans(*tracer, trace_track, t, compute_end - t,
-                              shards_per_machine, shard_weights);
-        }
-        t = compute_end;
-      }
-      tracer->End(trace_track, t);
+      child("compute", work,
+            {{"max_compute_seconds", stats.compute_seconds},
+             {"network_stall_seconds", stats.network_seconds},
+             {"disk_stall_seconds", stats.disk_stall_seconds},
+             {"thrash_multiplier", stats.thrash_multiplier}});
       child("barrier", stats.barrier_seconds);
       if (round_checkpoint_seconds > 0.0) {
         child("checkpoint", round_checkpoint_seconds);
@@ -1531,57 +1424,18 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
     }
 
     // --- Deliver: drain all outboxes into next-round inboxes ---
-    // Runs outside grouped delivery only. Two passes, both sub-machine
-    // parallel in the in-memory case:
-    // pass 1 (per destination) sizes the inbox as the fixed sender-major
-    // concatenation and records each sender's slice offset; pass 2 (per
-    // (sender, dest) pair) memcpys the disjoint column slices. The inbox
-    // layout equals the serial sender-major drain byte for byte — only
-    // who performs each copy changes. A destination fed by exactly one
-    // sender (every single-machine cluster, and any quiet destination)
-    // swaps buffers in pass 1 instead of copying.
+    // Runs outside grouped delivery only (fold_dest already wrote every
+    // inbox there). One task per destination builds the fixed
+    // sender-major concatenation of its senders' outboxes: a sole sender
+    // (every single-machine cluster, and any quiet destination) swaps
+    // buffers instead of copying; several drain in sender order. Under
+    // real OOC a hard resident cap cuts that concatenation: the prefix
+    // stays resident and the suffix pages to the spill file. Exactly one
+    // sender straddles the cut, so resident ++ restored reproduces the
+    // uncapped inbox order byte for byte (and GroupInbox's stable sort
+    // then folds identical payload orders).
     const uint64_t deliver_start_ns = wallclock::NowNs();
-    if (grouped_delivery) {
-      // fold_dest already wrote every destination's inbox; there are no
-      // outboxes to move.
-    } else if (rt == nullptr) {
-      pool.ParallelFor(machines, [&](uint32_t dest) {
-        MessageBlock& inbox = workers[dest].inbox();
-        inbox.Clear();
-        uint32_t nonempty_senders = 0;
-        uint32_t solo_sender = 0;
-        size_t total = 0;
-        for (uint32_t sender = 0; sender < machines; ++sender) {
-          deliver_offsets[static_cast<size_t>(sender) * machines + dest] =
-              total;
-          const size_t outbox_size = workers[sender].OutboxSize(dest);
-          if (outbox_size != 0) {
-            ++nonempty_senders;
-            solo_sender = sender;
-            total += outbox_size;
-          }
-        }
-        deliver_copy[dest] = 0;
-        if (nonempty_senders == 1) {
-          workers[solo_sender].SwapOutbox(dest, &inbox);
-        } else if (nonempty_senders > 1) {
-          inbox.ResizeUninitialized(total);
-          deliver_copy[dest] = 1;
-        }
-      });
-      parallel_shards(machines * machines, [&](uint32_t pair) {
-        const uint32_t dest = pair % machines;
-        if (deliver_copy[dest] == 0) return;
-        const uint32_t sender = pair / machines;
-        MessageBlock& outbox = workers[sender].outbox(dest);
-        if (outbox.empty()) return;
-        workers[dest].inbox().WriteAt(deliver_offsets[pair], outbox);
-        outbox.Clear();
-        workers[sender].combine_index(dest).Clear();
-      });
-    } else {
-      // OOC: the resident-message cap cuts the sender-major concatenation
-      // at an arbitrary point, so delivery stays serial per destination.
+    if (!grouped_delivery) {
       pool.ParallelFor(machines, [&workers, machines, rt](uint32_t dest) {
         MessageBlock& inbox = workers[dest].inbox();
         inbox.Clear();
@@ -1596,13 +1450,10 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             total += outbox_size;
           }
         }
-        const size_t cap = static_cast<size_t>(rt->resident_message_cap());
+        const size_t cap =
+            rt != nullptr ? static_cast<size_t>(rt->resident_message_cap())
+                          : total;
         if (total > cap) {
-          // Hard budget: keep the prefix of the sender-major concatenation
-          // resident and page the suffix to the spill file. Exactly one
-          // sender straddles the cut, so resident ++ restored reproduces
-          // the uncapped inbox order byte for byte (and GroupInbox's
-          // stable sort then folds identical payload orders).
           inbox.Reserve(cap);
           size_t kept = 0;
           for (uint32_t sender = 0; sender < machines; ++sender) {
@@ -1632,16 +1483,12 @@ Result<EngineResult> SyncEngine::Run(VertexProgram& program,
             }
           }
         }
-        rt->FinishDeliverRound(dest);
+        if (rt != nullptr) rt->FinishDeliverRound(dest);
       });
     }
     if (collect_times) {
       result.phase.deliver_seconds += wallclock::SecondsSince(deliver_start_ns);
     }
-    // Every delivery branch above drains the outboxes and clears the
-    // per-worker CombineIndexes; retire the dense tables' epochs in
-    // lockstep (O(1) per table).
-    for (DenseCombineTable& table : scratch.dense_combine) table.Clear();
     if (rt != nullptr) VCMP_RETURN_IF_ERROR(rt->ConsumeError());
     for (uint32_t machine = 0; machine < machines; ++machine) {
       if (!workers[machine].inbox().empty() ||

@@ -60,23 +60,20 @@ struct EngineOptions {
   /// bit-identical at every thread count and every shard count.
   /// 0 = auto (16).
   uint32_t compute_shards_per_machine = 0;
-  /// Let threads that drained their own shards claim leftovers from
-  /// statically-chosen victims (ThreadPool::ParallelForStealable). Steal
-  /// order derives from shard indices, never timing; turning this off
-  /// pins every shard to its round-robin owner. Outputs are identical
-  /// either way.
-  bool enable_work_stealing = true;
   /// Collect wall/busy time per engine phase into EngineResult::phase
   /// (perf-trajectory benches). Off by default: the hot paths then pay
   /// only a predictable branch per round.
   bool collect_phase_times = false;
   /// Exploit the program's Combiner even when the simulated system's
   /// profile does not combine (Pregel-style sender-side combining,
-  /// DESIGN.md section 16). Task results are bit-identical with this on
-  /// or off — only wire-message counts, buffered bytes and the costs
-  /// derived from them change. Ignored under mirroring profiles (mirror
-  /// routing already dedupes the wire) and when the program has no
-  /// combiner.
+  /// DESIGN.md section 16). Applied only where grouped delivery builds
+  /// the inbox — in-memory, unmirrored runs inside the dense-slot gate
+  /// whose program has a sum or min combiner — because only there does
+  /// the fold replay the receiver's floating-point operation order. There
+  /// task results are bit-identical with this on or off: only wire-message
+  /// counts, buffered bytes and the costs derived from them change.
+  /// Ignored everywhere else (real out-of-core runs, mirroring profiles,
+  /// unbounded or oversized tag universes, custom or absent combiners).
   bool sender_combining = false;
 
   /// --- Observability (src/obs) ---
@@ -92,12 +89,6 @@ struct EngineOptions {
   /// track at Run() (standalone engine users; the runner passes its own).
   uint32_t trace_track = kAutoTrack;
   double trace_time_offset_seconds = 0.0;
-  /// Additionally emit one child span per (machine, shard) under each
-  /// round's compute span, sized proportionally to the shard's staged
-  /// message count (simulated timestamps; bit-identical across thread
-  /// counts like everything else in the trace). Off by default: a round
-  /// then costs machines × shards extra spans.
-  bool trace_shard_spans = false;
   static constexpr uint32_t kAutoTrack = ~0u;
 
   /// --- Real out-of-core execution (src/ooc, DESIGN.md section 13) ---
@@ -240,7 +231,6 @@ class SyncEngine {
   class ShardSink;
   struct ShardPlan;
   struct MergeSlot;
-  struct DenseCombineTable;
   struct DestSlotTable;
   struct RunScratch;
 
@@ -264,7 +254,7 @@ class SyncEngine {
   std::vector<std::vector<VertexId>> vertices_by_machine_;
   /// local_index_[v] = position of v within vertices_by_machine_[its
   /// machine] — the dense per-machine vertex numbering the direct-indexed
-  /// slot tables (grouped delivery, dense merge) key on. Ascending in v
+  /// slot tables of grouped delivery key on. Ascending in v
   /// within each machine.
   std::vector<uint32_t> local_index_;
 };

@@ -8,7 +8,7 @@
 namespace vcmp {
 namespace {
 
-/// Diagnostic phase timers only (group_ns/stage_ns, off by default);
+/// Diagnostic phase timer only (group_ns, off by default);
 /// never feeds reports or traces, so it reads the one sanctioned
 /// wall-clock seam instead of std::chrono directly.
 inline uint64_t NowNs() { return wallclock::NowNs(); }
@@ -47,7 +47,6 @@ void Worker::Reset(uint32_t num_machines) {
   aos_valid_ = false;
   send_stats_.Clear();
   group_ns_ = 0;
-  stage_ns_ = 0;
 }
 
 void Worker::Drain(uint32_t machine, MessageBlock* dest) {

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/wall_clock.h"
 #include "engine/message.h"
 #include "engine/message_block.h"
 #include "graph/partition.h"
@@ -28,16 +27,17 @@ struct WorkerSendStats {
   void Clear() { *this = WorkerSendStats{}; }
 };
 
-/// Open-addressing (target, tag) -> outbox-position index used for
-/// sender-side combining.
+/// Open-addressing (target, tag) -> outbox-position index: the one key
+/// lookup of the engine's per-(sender, destination) combining merge,
+/// which profile-level combining (GraphLab) runs. Engine-level
+/// sender_combining folds inside grouped delivery's direct-indexed slot
+/// table instead and never touches it.
 ///
 /// Power-of-two capacity with linear probing; a per-slot epoch stamp makes
 /// Clear() O(1) (bump the epoch) instead of rehashing or deallocating, so
-/// the table's memory survives rounds and its hot slots stay cached. This
-/// replaces the std::unordered_map per destination, whose node allocations
-/// and pointer chasing dominated the staging path. FindOrInsert is inline:
-/// it sits inside the devirtualized staging loop, one call per staged
-/// message.
+/// the table's memory survives rounds and its hot slots stay cached.
+/// FindOrInsert is inline: it sits inside the merge loop, one call per
+/// staged message.
 class CombineIndex {
  public:
   /// Looks up `key`; inserts it mapping to `fresh_value` when absent.
@@ -91,11 +91,11 @@ class CombineIndex {
 /// Per-machine message buffers of a simulated worker.
 ///
 /// A Worker owns the machine's inbox for the current round and the staging
-/// outboxes of the round in progress, all in SoA MessageBlock layout.
-/// Combining systems merge same-(target, tag) messages in the outbox
-/// before "transmission". All buffers retain their capacity across rounds
-/// and Reset calls: the steady state of a multi-round run performs no
-/// per-round allocations.
+/// outboxes of the round in progress, all in SoA MessageBlock layout. The
+/// engine fills the outboxes directly (outbox(), combine_index()) and
+/// delivers them with SwapOutbox / Drain. All buffers retain their
+/// capacity across rounds and Reset calls: the steady state of a
+/// multi-round run performs no per-round allocations.
 ///
 /// GroupInbox() no longer permutes whole messages. It sorts packed
 /// (target, tag) keys carrying 4-byte indices, gathers only the payload
@@ -111,57 +111,9 @@ class Worker {
   /// from earlier rounds/runs is retained.
   void Reset(uint32_t num_machines);
 
-  /// Caches the combiner (may be null = no combining) and its kind so
-  /// Stage() can inline the sum/min folds without a virtual call.
-  void SetCombiner(const Combiner* combiner) {
-    combiner_ = combiner;
-    combiner_kind_ = combiner ? combiner->kind() : CombinerKind::kCustom;
-  }
-
   /// Declares the vertex-id universe [0, universe). Lets GroupInbox pick
   /// a dense counting pass when the inbox occupancy is high enough.
   void set_vertex_space(VertexId universe) { vertex_space_ = universe; }
-
-  /// Buffers (target, tag, value, multiplicity) for the worker of
-  /// `target_machine`, merging it into an existing outbox entry when a
-  /// combiner is set. Returns true if a new wire message was created
-  /// (false = merged into an existing one).
-  bool Stage(uint32_t target_machine, VertexId target, uint32_t tag,
-             double value, double multiplicity) {
-    const uint64_t t0 = collect_timing_ ? wallclock::NowNs() : 0;
-    MessageBlock& outbox = outboxes_[target_machine];
-    bool new_wire = true;
-    if (combiner_ != nullptr) {
-      bool inserted = false;
-      const uint64_t key = (static_cast<uint64_t>(target) << 32) | tag;
-      const size_t position = combine_index_[target_machine].FindOrInsert(
-          key, outbox.size(), &inserted);
-      if (!inserted) {
-        switch (combiner_kind_) {
-          case CombinerKind::kSum:
-            outbox.values()[position] += value;
-            outbox.multiplicities()[position] += multiplicity;
-            break;
-          case CombinerKind::kMin:
-            if (value < outbox.values()[position]) {
-              outbox.values()[position] = value;
-            }
-            outbox.multiplicities()[position] += multiplicity;
-            break;
-          case CombinerKind::kCustom: {
-            Message into = outbox.At(position);
-            combiner_->Merge(into, Message{target, tag, value, multiplicity});
-            outbox.Set(position, into);
-            break;
-          }
-        }
-        new_wire = false;  // Merged: no new wire message.
-      }
-    }
-    if (new_wire) outbox.PushBack(target, tag, value, multiplicity);
-    if (collect_timing_) stage_ns_ += wallclock::NowNs() - t0;
-    return new_wire;
-  }
 
   /// Appends this worker's outbox for `machine` to `dest`, then clears the
   /// outbox (capacity retained).
@@ -182,17 +134,14 @@ class Worker {
   WorkerSendStats& send_stats() { return send_stats_; }
   const WorkerSendStats& send_stats() const { return send_stats_; }
 
-  /// Direct access to the staging outbox / combining index for one
-  /// destination. The sharded engine merges per-shard arenas into these
-  /// itself (one merge task owns exactly one (sender, destination) pair,
-  /// so no two tasks touch the same buffer) instead of going through
-  /// Stage, whose timing accumulator would race across merge tasks.
+  /// The staging outbox / combining index for one destination. The
+  /// engine's merge fills these from the per-shard arenas (one merge task
+  /// owns exactly one (sender, destination) pair, so no two tasks touch
+  /// the same buffer).
   MessageBlock& outbox(uint32_t machine) { return outboxes_[machine]; }
   CombineIndex& combine_index(uint32_t machine) {
     return combine_index_[machine];
   }
-  const Combiner* combiner() const { return combiner_; }
-  CombinerKind combiner_kind() const { return combiner_kind_; }
 
   /// Groups the inbox by (target, tag) and publishes runs() +
   /// grouped_values()/grouped_multiplicities(). Messages with equal
@@ -235,13 +184,12 @@ class Worker {
   /// the inbox is next modified.
   std::span<const Message> MaterializedInbox();
 
-  /// Enables phase-time collection (see group_ns/stage_ns). Off by
-  /// default; the hot paths then pay a single predictable branch.
+  /// Enables phase-time collection (see group_ns). Off by default; the
+  /// hot path then pays a single predictable branch.
   void set_collect_timing(bool on) { collect_timing_ = on; }
-  /// Nanoseconds spent in GroupInbox / Stage since the last Reset, when
-  /// timing collection is enabled.
+  /// Nanoseconds spent in GroupInbox since the last Reset, when timing
+  /// collection is enabled.
   uint64_t group_ns() const { return group_ns_; }
-  uint64_t stage_ns() const { return stage_ns_; }
 
  private:
   /// Sort key (key, original index) pair; 4-byte index keeps the radix
@@ -260,8 +208,6 @@ class Worker {
   std::vector<MessageBlock> outboxes_;  // One per target machine.
   /// Per-destination combining index, used only when combining.
   std::vector<CombineIndex> combine_index_;
-  const Combiner* combiner_ = nullptr;
-  CombinerKind combiner_kind_ = CombinerKind::kCustom;
   VertexId vertex_space_ = 0;
 
   // Grouping state, rebuilt by GroupInbox() each round (capacity kept).
@@ -281,7 +227,6 @@ class Worker {
   WorkerSendStats send_stats_;
   bool collect_timing_ = false;
   uint64_t group_ns_ = 0;
-  uint64_t stage_ns_ = 0;
 };
 
 }  // namespace vcmp

@@ -375,7 +375,7 @@ void AnalyzeParallelBody(
 
 /// The launcher set, closed under wrapper lambdas: a bound lambda that
 /// forwards one of its own parameters into a known launcher's argument
-/// list is itself a launcher (the engines' `parallel_shards` idiom).
+/// list is itself a launcher (a `parallel_shards`-style wrapper).
 std::set<std::string> ComputeLaunchers(const TokenCursor& c,
                                        const ParsedFile& parsed) {
   std::set<std::string> launchers = {"ParallelFor", "ParallelForStealable"};

@@ -60,6 +60,7 @@ struct RoundStats {
   bool disk_saturated = false;
 
   std::string ToString() const;
+  bool operator==(const RoundStats&) const = default;
 };
 
 }  // namespace vcmp

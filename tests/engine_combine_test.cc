@@ -632,10 +632,11 @@ std::pair<EngineResult, std::vector<uint32_t>> RunHopFlood(
 }
 
 TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
-  // At 32 tags the combined run takes the combining fold, at 33 the
-  // CombineIndex merge. Both must reproduce the universe-hidden
-  // uncombined run (merge -> deliver -> GroupInbox), which stays an
-  // independent path on both sides of the gate.
+  // At 32 tags the combined run takes the combining fold; at 33 it falls
+  // outside grouped delivery, where engine-level combining is ignored.
+  // Both must reproduce the universe-hidden uncombined run (merge ->
+  // deliver -> GroupInbox), which stays an independent path on both
+  // sides of the gate.
   for (uint32_t tags : {32u, 33u}) {
     SCOPED_TRACE(testing::Message() << "tags=" << tags);
     auto [off, off_hops] = RunHopFlood(
@@ -650,7 +651,11 @@ TEST(SenderCombiningTest, DenseCombineGateBoundaryMatchesUncombined) {
       EXPECT_EQ(off.rounds[i].messages, on.rounds[i].messages)
           << "round " << i;
     }
-    EXPECT_GT(on.CombinedRatio(), 1.0);
+    if (tags == 32) {
+      EXPECT_GT(on.CombinedRatio(), 1.0);
+    } else {
+      EXPECT_EQ(on.CombinedRatio(), 1.0);
+    }
   }
 }
 
@@ -666,6 +671,112 @@ TEST(GroupedDeliveryTest, GateBoundaryMatchesReference) {
     ASSERT_GT(reference.num_rounds, 1u);
     EXPECT_EQ(reference_hops, hops);
     ExpectRunsFullyEqual(reference, run);
+  }
+}
+
+// --- Profile-level combining with a custom combiner -----------------
+
+/// Keeps the larger value: not expressible as the inlined kSum/kMin
+/// folds, so the merge must fall back to the virtual Merge (kCustom).
+class MaxCombiner : public Combiner {
+ public:
+  void Merge(Message& into, const Message& from) const override {
+    if (from.value > into.value) into.value = from.value;
+    into.multiplicity += from.multiplicity;
+  }
+};
+
+/// Max-label propagation: every vertex starts from a scrambled label,
+/// keeps the largest label it hears and forwards it whenever it grows.
+/// The answer (labels, and the integer multiplicity each vertex received)
+/// is independent of how messages were merged on the way.
+class MaxLabelProgram : public VertexProgram {
+ public:
+  MaxLabelProgram(const Graph& graph, bool expose_combiner)
+      : graph_(graph),
+        expose_combiner_(expose_combiner),
+        labels_(graph.NumVertices()),
+        received_(graph.NumVertices(), 0.0) {
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      labels_[v] = static_cast<double>((v * 2654435761ULL) % 1000003ULL);
+    }
+  }
+
+  void Compute(VertexId v, std::span<const Message> inbox,
+               MessageSink& sink) override {
+    bool grew = sink.round() == 0;
+    for (const Message& message : inbox) {
+      received_[v] += message.multiplicity;
+      if (message.value > labels_[v]) {
+        labels_[v] = message.value;
+        grew = true;
+      }
+    }
+    if (!grew) return;
+    for (VertexId u : graph_.Neighbors(v)) sink.Send(u, 0, labels_[v], 1.0);
+  }
+
+  const Combiner* combiner() const override {
+    return expose_combiner_ ? &combiner_ : nullptr;
+  }
+  uint32_t tag_universe() const override { return 1; }
+  const std::vector<double>& labels() const { return labels_; }
+  const std::vector<double>& received() const { return received_; }
+
+ private:
+  const Graph& graph_;
+  const bool expose_combiner_;
+  MaxCombiner combiner_;
+  std::vector<double> labels_;
+  std::vector<double> received_;
+};
+
+TEST(ProfileCombiningTest, CustomCombinerMatchesUncombinedRun) {
+  // GraphLab combines at the profile level through the per-pair merge,
+  // the one path that calls a custom combiner's virtual Merge. Folding
+  // with it must change the wire, never the answers or logical counts.
+  const Graph graph = MakeRmat(77);
+  const Partitioning part = HashPartitioner().Partition(graph, 4);
+  struct Outcome {
+    EngineResult result;
+    std::vector<double> labels;
+    std::vector<double> received;
+  };
+  auto run = [&](bool expose_combiner, uint32_t threads) -> Outcome {
+    EngineOptions options;
+    options.cluster = RelaxedCluster(4);
+    options.profile = ProfileFor(SystemKind::kGraphLab);
+    options.execution_threads = threads;
+    options.clamp_threads_to_hardware = false;
+    SyncEngine engine(graph, part, options);
+    MaxLabelProgram program(graph, expose_combiner);
+    EXPECT_EQ(program.combiner() == nullptr, !expose_combiner);
+    auto result = engine.Run(program);
+    EXPECT_TRUE(result.ok());
+    return Outcome{result.value_or(EngineResult{}), program.labels(),
+                   program.received()};
+  };
+  const Outcome combined_serial = run(true, 1);
+  ASSERT_GT(combined_serial.result.num_rounds, 2u);
+  for (uint32_t threads : {1u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const Outcome hidden = run(false, threads);
+    const Outcome combined = run(true, threads);
+    EXPECT_EQ(hidden.labels, combined.labels);
+    EXPECT_EQ(hidden.received, combined.received);
+    EXPECT_EQ(hidden.result.num_rounds, combined.result.num_rounds);
+    EXPECT_EQ(hidden.result.total_messages, combined.result.total_messages);
+    EXPECT_EQ(hidden.result.total_logical_sent,
+              combined.result.total_logical_sent);
+    ASSERT_EQ(hidden.result.rounds.size(), combined.result.rounds.size());
+    for (size_t i = 0; i < hidden.result.rounds.size(); ++i) {
+      EXPECT_EQ(hidden.result.rounds[i].messages,
+                combined.result.rounds[i].messages)
+          << "round " << i;
+    }
+    EXPECT_EQ(hidden.result.CombinedRatio(), 1.0);
+    EXPECT_GT(combined.result.CombinedRatio(), 1.0);
+    ExpectRunsFullyEqual(combined_serial.result, combined.result);
   }
 }
 

@@ -284,14 +284,17 @@ TEST(WorkerTest, ResetRetainsInboxCapacity) {
 TEST(WorkerTest, DrainRetainsOutboxCapacity) {
   Worker worker;
   worker.Reset(1);
-  worker.SetCombiner(nullptr);
+  size_t capacity = 0;
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 1000; ++i) {
-      worker.Stage(0, static_cast<VertexId>(i), 0, 1.0, 1.0);
+      worker.outbox(0).PushBack(static_cast<VertexId>(i), 0, 1.0, 1.0);
     }
+    if (round == 0) capacity = worker.outbox(0).capacity();
+    EXPECT_EQ(worker.outbox(0).capacity(), capacity);  // No regrowth.
     MessageBlock dest;
     worker.Drain(0, &dest);
     EXPECT_EQ(dest.size(), 1000u);
+    EXPECT_EQ(worker.OutboxSize(0), 0u);
   }
 }
 

@@ -45,6 +45,7 @@ struct OocRunConfig {
   uint64_t budget_bytes = 0;  // 0 = real OOC off (uncapped).
   bool prefetch = true;
   uint32_t sections = 8;
+  bool sender_combining = false;
 };
 
 struct OocRunOutcome {
@@ -59,6 +60,7 @@ EngineOptions GraphDOptions(const OocRunConfig& config) {
   options.profile = ProfileFor(SystemKind::kGraphD);
   options.execution_threads = config.threads;
   options.clamp_threads_to_hardware = false;
+  options.sender_combining = config.sender_combining;
   if (config.budget_bytes > 0) {
     options.ooc.enabled = true;
     options.ooc.memory_budget_bytes = config.budget_bytes;
@@ -164,6 +166,34 @@ TEST(OocEngineTest, BitIdenticalAcrossThreadCounts) {
         serial, RunPageRank({.threads = 2, .budget_bytes = budget}));
     ExpectFullyIdentical(
         serial, RunPageRank({.threads = 8, .budget_bytes = budget}));
+  }
+}
+
+TEST(OocEngineTest, SenderCombiningIgnoredUnderRealOoc) {
+  // Engine-level combining folds only where grouped delivery builds the
+  // inbox. A capped run delivers per (sender, destination) and groups at
+  // the receiver, where per-pair partial sums would reach each rank's
+  // fold in a different floating-point order than the raw messages do.
+  // So the switch must change nothing here: no rank bit, no statistic.
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const OocRunOutcome plain =
+        RunPageRank({.threads = threads, .budget_bytes = kTightBudget});
+    const OocRunOutcome combined =
+        RunPageRank({.threads = threads,
+                     .budget_bytes = kTightBudget,
+                     .sender_combining = true});
+    ASSERT_TRUE(combined.result.ooc_active);
+    ExpectFullyIdentical(plain, combined);
+    EXPECT_EQ(plain.result.total_wire_messages,
+              combined.result.total_wire_messages);
+    ASSERT_EQ(plain.result.rounds.size(), combined.result.rounds.size());
+    for (size_t i = 0; i < plain.result.rounds.size(); ++i) {
+      const RoundStats& a = plain.result.rounds[i];
+      const RoundStats& b = combined.result.rounds[i];
+      EXPECT_TRUE(a == b) << "round " << i << "\n"
+                          << a.ToString() << "\n" << b.ToString();
+    }
   }
 }
 
